@@ -4,6 +4,8 @@ descendant integrals on weighted projective lines and planes.
 Everything computes over exact rationals: closed forms, the linear systems
 fixing their coefficients, generating-series extraction of initial values,
 and recursion residuals that are identically zero when the formulas hold.
+The names below are the package's front door; everything else is imported
+from its submodule.
 """
 
 from .errors import (
@@ -13,67 +15,23 @@ from .errors import (
     MissingGammaError,
     SingularMatrixError,
 )
-from .exact_arith import (
-    Rational,
-    double_factorial,
-    frac_factorial,
-    multinomial,
-    rational_from_str,
-    rational_to_str,
-    shifted_factorial,
-)
 from .line_theory import (
     build_matrix_line,
     matrix_det_line,
-    nonstacky_integral_line,
-    nonstacky_recursion_residual_line,
     recursion_residual_line,
     reproduction_residual_line,
     scale_matrix_line,
     seed_exponent_line,
-    solve_coefficients,
     stacky_integral_line,
-    theta_line,
 )
-from .moduli import (
-    GammaTable,
-    IntegralSpec,
-    StackyType,
-    dim_gate_line,
-    dim_gate_surface,
-    is_admissible,
-    rank_r1,
-    rank_rNm1,
-    resolve_gamma,
-)
-from .sampling import RecursionInstance, sample_admissible_type, sample_gamma, sample_instance
-from .series import (
-    DEFAULT_ORDER,
-    ZPoly,
-    ZPolySeries,
-    extract_line_initial,
-    hodge_onepoint,
-    hurwitz_hodge_onepoint,
-    initial_onepoint,
-    pow_z_shift,
-    series_exp,
-    series_inverse,
-    series_log,
-    series_mul,
-    sinc_half,
-)
+from .moduli import GammaTable, IntegralSpec, StackyType
+from .series import extract_line_initial, hodge_onepoint, hurwitz_hodge_onepoint, initial_onepoint
 from .surface_theory import (
     MATRIX_MODES,
     build_matrix_surface,
-    matrix_det_surface,
-    nonstacky_integral_surface,
-    nonstacky_recursion_residual_surface,
-    recursion_residual_surface,
     reproduction_residual_surface,
     scale_matrix_surface,
     seed_exponent_surface,
-    stacky_integral_surface,
-    surface_weight,
     theta_surface,
 )
 
@@ -81,65 +39,29 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DEFAULT_ORDER",
     "MATRIX_MODES",
-    "Rational",
-    "ZPoly",
-    "ZPolySeries",
     "StackyType",
     "IntegralSpec",
     "GammaTable",
-    "RecursionInstance",
     "HurwitzHodgeError",
     "InadmissibleTypeError",
     "MissingGammaError",
     "DegenerateWeightError",
     "SingularMatrixError",
-    "shifted_factorial",
-    "frac_factorial",
-    "double_factorial",
-    "multinomial",
-    "rational_to_str",
-    "rational_from_str",
-    "series_mul",
-    "series_inverse",
-    "series_log",
-    "series_exp",
-    "sinc_half",
-    "pow_z_shift",
     "hodge_onepoint",
     "hurwitz_hodge_onepoint",
     "initial_onepoint",
     "extract_line_initial",
-    "rank_r1",
-    "rank_rNm1",
-    "is_admissible",
-    "dim_gate_line",
-    "dim_gate_surface",
-    "resolve_gamma",
     "seed_exponent_line",
-    "theta_line",
     "build_matrix_line",
     "scale_matrix_line",
     "matrix_det_line",
-    "solve_coefficients",
-    "nonstacky_integral_line",
     "stacky_integral_line",
     "reproduction_residual_line",
     "recursion_residual_line",
-    "nonstacky_recursion_residual_line",
-    "surface_weight",
     "seed_exponent_surface",
     "theta_surface",
     "build_matrix_surface",
     "scale_matrix_surface",
-    "matrix_det_surface",
-    "nonstacky_integral_surface",
-    "stacky_integral_surface",
     "reproduction_residual_surface",
-    "recursion_residual_surface",
-    "nonstacky_recursion_residual_surface",
-    "sample_admissible_type",
-    "sample_gamma",
-    "sample_instance",
 ]

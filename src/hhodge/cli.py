@@ -23,26 +23,9 @@ from .errors import (
 )
 from .exact_arith import rational_from_str, rational_to_str
 from ._linalg import det_exact
-from .line_theory import (
-    _coefficients_line,
-    build_matrix_line,
-    nonstacky_integral_line,
-    nonstacky_recursion_residual_line,
-    recursion_residual_line,
-    reproduction_residual_line,
-    scale_matrix_line,
-    seed_exponent_line,
-    stacky_integral_line,
-)
-from .moduli import (
-    GammaTable,
-    IntegralSpec,
-    StackyType,
-    dim_gate_line,
-    dim_gate_surface,
-    is_admissible,
-)
-from .sampling import sample_instance
+from .line_theory import nonstacky_recursion_residual_line
+from .moduli import GammaTable, IntegralSpec, StackyType, dim_gate, is_admissible
+from .sampling import THEORIES, sample_instance
 from .series import (
     DEFAULT_ORDER,
     extract_line_initial,
@@ -50,18 +33,8 @@ from .series import (
     hurwitz_hodge_onepoint,
     initial_onepoint,
 )
-from .surface_theory import (
-    MATRIX_MODES,
-    _coefficients_surface,
-    build_matrix_surface,
-    nonstacky_integral_surface,
-    nonstacky_recursion_residual_surface,
-    recursion_residual_surface,
-    reproduction_residual_surface,
-    scale_matrix_surface,
-    seed_exponent_surface,
-    stacky_integral_surface,
-)
+from .surface_theory import nonstacky_recursion_residual_surface
+from .theory import MATRIX_MODES
 
 __all__ = ["main", "run_verify"]
 
@@ -92,23 +65,28 @@ def _load_document(spec_arg: str) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    # JSON true/false parse as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_type(doc: dict) -> tuple[int, StackyType]:
     for field in ("N", "g"):
         if field not in doc:
             raise ValueError(f"spec document missing field {field!r}")
     N = doc["N"]
     g = doc["g"]
-    if not isinstance(N, int) or not isinstance(g, int):
+    if not _is_int(N) or not _is_int(g):
         raise ValueError("fields N and g must be integers")
     n = doc.get("n", [0] * (N - 1))
-    if not isinstance(n, list) or not all(isinstance(v, int) for v in n):
+    if not isinstance(n, list) or not all(_is_int(v) for v in n):
         raise ValueError("field n must be a list of integers")
     return g, StackyType(N, tuple(n))
 
 
 def _exponent_list(doc: dict, field: str) -> tuple[int, ...]:
     values = doc.get(field, [])
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(_is_int(v) for v in values):
         raise ValueError(f"field {field!r} must be a list of integers")
     return tuple(values)
 
@@ -132,7 +110,8 @@ def cmd_integral(args) -> int:
     g, x = _parse_type(doc)
     spec = IntegralSpec(g, _exponent_list(doc, "l"), _exponent_list(doc, "k"))
     theory = args.theory
-    gate = dim_gate_line(g, x, spec) if theory == "line" else dim_gate_surface(g, x, spec)
+    th = THEORIES[theory]
+    gate = dim_gate(g, x, spec, th.s)
     admissible = is_admissible(g, x)
     out = {"admissible": admissible, "dim_ok": gate}
 
@@ -145,28 +124,18 @@ def cmd_integral(args) -> int:
             raise MissingGammaError(
                 "surface one-point initial values are not derivable; pass --initial"
             )
-        if theory == "line":
-            value = nonstacky_integral_line(g, spec.l, initial)
-        else:
-            value = nonstacky_integral_surface(g, spec.l, initial)
         out["initial"] = rational_to_str(initial)
-        out["value"] = rational_to_str(value)
+        out["value"] = rational_to_str(th.nonstacky(g, spec.l, initial))
     elif not admissible or not gate:
         out["value"] = "0"
     else:
-        table = _load_gamma_tables(args.gamma)
-        theory_key = "line" if theory == "line" else "surface"
-        gamma_vec = table.get(theory_key, x.N, g, x)
-        if theory == "line":
-            value = stacky_integral_line(g, x, spec, gamma_vec)
-            coeffs = _coefficients_line(g, x, gamma_vec)
-        else:
-            mode = args.matrix_mode or "consistent"
-            value = stacky_integral_surface(g, x, spec, gamma_vec, mode)
-            coeffs = _coefficients_surface(g, x, gamma_vec, mode)
+        gamma_vec = _load_gamma_tables(args.gamma).get(theory, x.N, g, x)
+        mode = args.matrix_mode or "consistent"
+        value = th.integral(g, x, spec, gamma_vec, mode)
+        if th.has_modes:
             out["mode"] = mode
         out["value"] = rational_to_str(value)
-        out["c"] = [rational_to_str(c) for c in coeffs]
+        out["c"] = [rational_to_str(c) for c in th.coefficients(g, x, gamma_vec, mode)]
 
     _emit(out)
     return EXIT_OK
@@ -195,17 +164,12 @@ def cmd_series(args) -> int:
 def cmd_matrix(args) -> int:
     doc = _load_document(args.spec)
     g, x = _parse_type(doc)
-    if args.theory == "line":
-        a = seed_exponent_line(g, x)
-        matrix = build_matrix_line(x, a)
-        scaled = scale_matrix_line(matrix, g, x, a)
-        out = {}
-    else:
-        mode = args.matrix_mode or "consistent"
-        a = seed_exponent_surface(g, x)
-        matrix = build_matrix_surface(x, a, mode)
-        scaled = scale_matrix_surface(matrix, g, x, a)
-        out = {"mode": mode}
+    th = THEORIES[args.theory]
+    mode = args.matrix_mode or "consistent"
+    a = th.seed_exponent(g, x)
+    matrix = th.build_matrix(x, a, mode)
+    scaled = th.scale_matrix(matrix, g, x, a)
+    out = {"mode": mode} if th.has_modes else {}
     out.update(
         {
             "a": str(a),
@@ -232,20 +196,14 @@ def _nonstacky_audit(theory: str) -> list[dict]:
         else:
             initial = Fraction(1)
             families = {
-                "bracket": nonstacky_recursion_residual_surface(g, l, vk, initial, "bracket"),
-                "printed": nonstacky_recursion_residual_surface(g, l, vk, initial, "printed"),
+                family: nonstacky_recursion_residual_surface(g, l, vk, initial, family)
+                for family in ("bracket", "printed")
             }
-        for family in sorted(families):
-            rows.append(
-                {
-                    "family": family,
-                    "g": g,
-                    "initial": rational_to_str(initial),
-                    "l": list(l),
-                    "residual": rational_to_str(families[family]),
-                    "vk": vk,
-                }
-            )
+        rows += [
+            {"family": family, "g": g, "initial": rational_to_str(initial), "l": list(l),
+             "residual": rational_to_str(residual), "vk": vk}
+            for family, residual in sorted(families.items())
+        ]
     return rows
 
 
@@ -253,11 +211,10 @@ def run_verify(theory: str, seed: int, samples: int, matrix_mode: str | None = N
     """Deterministic batch verification: recursion residuals plus seed
     reproduction on sampled instances.  The nonstacky_audit section is
     informational and does not count toward failures."""
-    if theory not in ("line", "surface"):
+    if theory not in THEORIES:
         raise ValueError(f"theory must be 'line' or 'surface', got {theory!r}")
-    mode = None
-    if theory == "surface":
-        mode = matrix_mode or "consistent"
+    th = THEORIES[theory]
+    mode = matrix_mode or "consistent"
     rng = random.Random(seed)
     rows: list[dict] = []
 
@@ -268,54 +225,30 @@ def run_verify(theory: str, seed: int, samples: int, matrix_mode: str | None = N
         row["pass"] = residual == 0
         rows.append(row)
 
-    if theory == "surface":
+    if th.has_modes:
         # canonical witness: the smallest type on which the verbatim matrix
         # fails to reproduce its own seed values
-        witness = StackyType(2, (2,))
-        residual = reproduction_residual_surface(2, witness, 0, (Fraction(1), Fraction(1)), mode)
-        record(
-            "seed",
-            {"N": 2, "g": 2, "n": [2], "j": 0, "gamma": ["1", "1"]},
-            residual,
-        )
+        residual = th.reproduction_residual(2, StackyType(2, (2,)), 0, (Fraction(1), Fraction(1)), mode)
+        record("seed", {"N": 2, "g": 2, "n": [2], "j": 0, "gamma": ["1", "1"]}, residual)
 
     for _ in range(samples):
         inst = sample_instance(rng, theory)
-        payload = {
+        common = {
             "N": inst.x.N,
             "g": inst.g,
             "n": list(inst.x.n),
-            "l": list(inst.l),
-            "k": list(inst.k),
-            "vk": inst.vk,
             "gamma": [rational_to_str(v) for v in inst.gamma],
         }
-        if theory == "line":
-            residual = recursion_residual_line(inst.g, inst.x, inst.spec, inst.vk, inst.gamma)
-        else:
-            residual = recursion_residual_surface(
-                inst.g, inst.x, inst.spec, inst.vk, inst.gamma, mode
-            )
-        record("recursion", payload, residual)
-
+        residual = th.recursion_residual(inst.g, inst.x, inst.spec, inst.vk, inst.gamma, mode)
+        record("recursion", dict(common, l=list(inst.l), k=list(inst.k), vk=inst.vk), residual)
         j = rng.randrange(inst.x.total)
-        seed_payload = {
-            "N": inst.x.N,
-            "g": inst.g,
-            "n": list(inst.x.n),
-            "j": j,
-            "gamma": [rational_to_str(v) for v in inst.gamma],
-        }
-        if theory == "line":
-            residual = reproduction_residual_line(inst.g, inst.x, j, inst.gamma)
-        else:
-            residual = reproduction_residual_surface(inst.g, inst.x, j, inst.gamma, mode)
-        record("seed", seed_payload, residual)
+        residual = th.reproduction_residual(inst.g, inst.x, j, inst.gamma, mode)
+        record("seed", dict(common, j=j), residual)
 
     failures = sum(1 for row in rows if not row["pass"])
     return {
         "theory": theory,
-        "matrix_mode": mode,
+        "matrix_mode": mode if th.has_modes else None,
         "seed": seed,
         "samples": samples,
         "rows": rows,
@@ -325,15 +258,10 @@ def run_verify(theory: str, seed: int, samples: int, matrix_mode: str | None = N
 
 
 def cmd_verify(args) -> int:
-    theories = ("line", "surface") if args.theory == "all" else (args.theory,)
-    reports = {}
-    failures = 0
-    for theory in theories:
-        mode = args.matrix_mode if theory == "surface" else None
-        report = run_verify(theory, args.seed, args.samples, mode)
-        reports[theory] = report
-        failures += report["failures"]
-    _emit(reports[args.theory] if args.theory != "all" else reports)
+    theories = [args.theory] if args.theory in THEORIES else list(THEORIES)
+    reports = {t: run_verify(t, args.seed, args.samples, args.matrix_mode) for t in theories}
+    failures = sum(report["failures"] for report in reports.values())
+    _emit(reports[args.theory] if args.theory in THEORIES else reports)
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 

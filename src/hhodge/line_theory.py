@@ -1,28 +1,21 @@
 """Descendant integrals for the weighted projective line with one stacky point.
 
-Two closed forms live here: a multinomial formula for integrals with no
-stacky insertions, and a product formula (theta_line) whose coefficients are
-fixed by an exact linear system seeded with user-supplied initial values.
-Both satisfy the same first-order recursion, which the residual functions
-verify term by term.
+The stacky integrals run on the shared engine (theory.py) with scale s = 1:
+plain weight l, stacky weight k + i/N, recursion weight
+prod_{m=0..vk}(v + m)/(vk+1)!, which vanishes at plain exponent 0.  The line's
+own piece is the closed form for integrals with no stacky insertions, a
+multinomial times the genus-g one-point initial value.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from ._linalg import det_exact, solve_exact
-from .errors import InadmissibleTypeError
-from .exact_arith import Rational, multinomial, shifted_factorial
-from .moduli import (
-    IntegralSpec,
-    StackyType,
-    dim_gate_line,
-    is_admissible,
-    resolve_gamma,
-)
+from .exact_arith import Rational, multinomial
+from .moduli import IntegralSpec, StackyType
+from .theory import Theory, validated_exponents
 
 __all__ = [
     "seed_exponent_line",
@@ -38,123 +31,11 @@ __all__ = [
     "nonstacky_recursion_residual_line",
 ]
 
-# Solved coefficient vectors keyed by (N, g, multiplicities, gamma); entries
-# are immutable, so concurrent writers can only race to the same value.
-_COEFF_CACHE: dict[tuple, tuple[Fraction, ...]] = {}
-
-
-def _validated_exponents(values: Sequence[int], label: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
-    if any(v < 0 for v in out):
-        raise ValueError(f"{label} exponents must be nonnegative")
-    return out
-
-
-def seed_exponent_line(g: int, x: StackyType) -> int:
-    """The common descendant exponent a = 2g - 2 + total - sum(i n_i)/N used
-    at the defining insertions; an integer exactly when the type is admissible."""
-    a = Fraction(2 * g - 2 + x.total) - Fraction(x.weighted_sum(), x.N)
-    if a.denominator != 1:
-        raise InadmissibleTypeError(
-            f"seed exponent {a} is not an integer; type N={x.N}, n={list(x.n)} is inadmissible"
-        )
-    return int(a)
-
-
-def theta_line(g: int, x: StackyType, k: Sequence[int], l: Sequence[int]) -> tuple[Fraction, ...]:
-    """The per-position product formula: entry r is
-
-        (2g - 3 + n + total)! * (k_r + b_r/N) / (prod l_j! * prod (k_j + b_j/N)!)
-
-    with b_j the block of position j and (k + b/N)! the ascending product
-    shifted_factorial(b/N, k)."""
-    k = _validated_exponents(k, "stacky")
-    l = _validated_exponents(l, "plain")
-    if len(k) != x.total:
-        raise ValueError(f"need {x.total} stacky exponents, got {len(k)}")
-    if x.total == 0:
-        raise ValueError("theta_line needs at least one stacky insertion")
-    top = 2 * g - 3 + len(l) + x.total
-    if top < 0:
-        raise ValueError(f"dimension count 2g-3+n+total = {top} is negative")
-    blocks = x.blocks()
-    denom = Fraction(1)
-    for lj in l:
-        denom *= math.factorial(lj)
-    for kj, b in zip(k, blocks):
-        denom *= shifted_factorial(Fraction(b, x.N), kj)
-    base = Fraction(math.factorial(top)) / denom
-    return tuple(base * (kr + Fraction(b, x.N)) for kr, b in zip(k, blocks))
-
-
-def build_matrix_line(x: StackyType, a: Rational) -> list[list[Fraction]]:
-    """Square matrix with b_t/N in column-block t everywhere and + a on the
-    diagonal; its determinant is a^(total-1) * (a + sum(i n_i)/N)."""
-    if x.total == 0:
-        raise ValueError("matrix needs at least one stacky insertion")
-    af = Fraction(a)
-    blocks = x.blocks()
-    size = x.total
-    return [
-        [Fraction(bt, x.N) + (af if s == t else 0) for t, bt in enumerate(blocks)]
-        for s in range(size)
-    ]
-
-
-def scale_matrix_line(
-    matrix: Sequence[Sequence], g: int, x: StackyType, a: int
-) -> list[list[Fraction]]:
-    """Rescale row j (block i) by (i/N) (2g-3+total)! / ((a + i/N)! prod (i/N)^n_i).
-
-    With a the seed exponent, row j of the result equals theta_line at the
-    defining exponents a*e_j with no plain insertions."""
-    if not isinstance(a, int) or a < 0:
-        raise ValueError(f"a must be a nonnegative integer, got {a!r}")
-    top = 2 * g - 3 + x.total
-    if top < 0:
-        raise ValueError(f"dimension count 2g-3+total = {top} is negative")
-    weight_product = Fraction(1)
-    for i, count in enumerate(x.n, start=1):
-        weight_product *= Fraction(i, x.N) ** count
-    blocks = x.blocks()
-    scaled = []
-    for row, b in zip(matrix, blocks):
-        factor = (
-            Fraction(b, x.N)
-            * math.factorial(top)
-            / (shifted_factorial(Fraction(b, x.N), a) * weight_product)
-        )
-        scaled.append([factor * Fraction(v) for v in row])
-    return scaled
-
-
-def matrix_det_line(x: StackyType, a: Rational) -> Fraction:
-    """Determinant of build_matrix_line via the elimination pipeline."""
-    return det_exact(build_matrix_line(x, a))
-
-
-def solve_coefficients(matrix: Sequence[Sequence], gamma: Sequence[Rational]) -> tuple[Fraction, ...]:
-    """Exact solution of the scaled system; raises SingularMatrixError when
-    the system does not determine the coefficients."""
-    return tuple(solve_exact(matrix, [Fraction(v) for v in gamma]))
-
-
-def _coefficients_line(g: int, x: StackyType, gamma_vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    key = (x.N, g, x.n, gamma_vec)
-    cached = _COEFF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    a = seed_exponent_line(g, x)
-    scaled = scale_matrix_line(build_matrix_line(x, a), g, x, a)
-    solution = solve_coefficients(scaled, gamma_vec)
-    _COEFF_CACHE[key] = solution
-    return solution
-
 
 def nonstacky_integral_line(g: int, l: Sequence[int], initial: Rational) -> Fraction:
     """Closed form with no stacky insertions: multinomial(2g+n-2; l) times the
     genus-g one-point initial value, or 0 when the dimension gate fails."""
-    l = _validated_exponents(l, "plain")
+    l = validated_exponents(l, "plain")
     if not isinstance(g, int) or g < 1:
         raise ValueError(f"g must be a positive integer, got {g!r}")
     if len(l) < 1:
@@ -164,85 +45,58 @@ def nonstacky_integral_line(g: int, l: Sequence[int], initial: Rational) -> Frac
     return multinomial(2 * g + len(l) - 2, l) * Fraction(initial)
 
 
+LINE = Theory("line", 1, nonstacky_integral_line)
+
+
+def seed_exponent_line(g: int, x: StackyType) -> int:
+    """The defining exponent a = 2g - 2 + total - sum(i n_i)/N; integer iff admissible."""
+    return LINE.seed_exponent(g, x)
+
+
+def theta_line(g: int, x: StackyType, k: Sequence[int], l: Sequence[int]) -> tuple[Fraction, ...]:
+    """Entry r is (2g-3+n+total)! (k_r + b_r/N) / (prod l_j! prod (k_j + b_j/N)!)."""
+    return LINE.theta(g, x, k, l)
+
+
+def build_matrix_line(x: StackyType, a: Rational) -> list[list[Fraction]]:
+    """b_t/N in column-block t plus a on the diagonal; det a^(total-1) (a + sum(i n_i)/N)."""
+    return LINE.build_matrix(x, a)
+
+
+def scale_matrix_line(
+    matrix: Sequence[Sequence], g: int, x: StackyType, a: int
+) -> list[list[Fraction]]:
+    """Rescale row j (block i) by (i/N) (2g-3+total)! / ((a + i/N)! prod (i/N)^n_i)."""
+    return LINE.scale_matrix(matrix, g, x, a)
+
+
+def matrix_det_line(x: StackyType, a: Rational) -> Fraction:
+    """Determinant of build_matrix_line via the elimination pipeline."""
+    return det_exact(build_matrix_line(x, a))
+
+
+def solve_coefficients(matrix: Sequence[Sequence], gamma: Sequence[Rational]) -> tuple[Fraction, ...]:
+    """Exact solution of the scaled system; SingularMatrixError if it has none."""
+    return tuple(solve_exact(matrix, gamma))
+
+
 def stacky_integral_line(g: int, x: StackyType, spec: IntegralSpec, gamma) -> Fraction:
-    """Evaluate the stacky closed form: 0 when the dimension gate fails,
-    otherwise the coefficient vector (solved once per (N, g, type, gamma))
-    dotted with theta_line at the requested exponents."""
-    if spec.g != g:
-        raise ValueError(f"spec genus {spec.g} does not match g={g}")
-    if not is_admissible(g, x):
-        raise InadmissibleTypeError(f"type N={x.N}, n={list(x.n)} is inadmissible at g={g}")
-    if x.total == 0:
-        raise ValueError("type carries no stacky insertions; use nonstacky_integral_line")
-    if not dim_gate_line(g, x, spec):
-        return Fraction(0)
-    gamma_vec = resolve_gamma(gamma, "line", g, x)
-    coeffs = _coefficients_line(g, x, gamma_vec)
-    theta = theta_line(g, x, spec.k, spec.l)
-    return sum((c * t for c, t in zip(coeffs, theta)), Fraction(0))
+    """0 off the dimension gate, else the solved coefficients dotted with theta_line."""
+    return LINE.integral(g, x, spec, gamma)
 
 
 def reproduction_residual_line(g: int, x: StackyType, j: int, gamma) -> Fraction:
-    """stacky_integral_line at the defining exponents a*e_j minus gamma_j;
-    identically zero when the solved system is consistent with its seeds."""
-    gamma_vec = resolve_gamma(gamma, "line", g, x)
-    a = seed_exponent_line(g, x)
-    k = [0] * x.total
-    k[j] = a
-    spec = IntegralSpec(g, (), tuple(k))
-    return stacky_integral_line(g, x, spec, gamma_vec) - gamma_vec[j]
-
-
-def _line_coefficient(value: Fraction, vk: int) -> Fraction:
-    """Recursion weight prod_{m=0..vk}(value + m) / (vk+1)!; vanishes when
-    value is a nonpositive integer in range, in particular at plain exponent 0."""
-    return shifted_factorial(value, vk) / math.factorial(vk + 1)
+    """stacky_integral_line at a*e_j minus gamma_j; identically zero."""
+    return LINE.reproduction_residual(g, x, j, gamma)
 
 
 def recursion_residual_line(g: int, x: StackyType, spec: IntegralSpec, vk: int, gamma) -> Fraction:
-    """Residual of the line recursion at Virasoro index vk >= 1:
-
-        -<added plain insertion vk+1> + sum_i w(l_i) <l_i -> l_i + vk>
-                                      + sum_j w(k_j + b_j/N) <k_j -> k_j + vk>
-
-    with w(v) = prod_{m=0..vk}(v + m)/(vk+1)!.  Exactly zero for every
-    admissible instance and any gamma vector."""
-    if not isinstance(vk, int) or vk < 1:
-        raise ValueError(f"Virasoro index must be a positive integer, got {vk!r}")
-    gamma_vec = resolve_gamma(gamma, "line", g, x)
-    blocks = x.blocks()
-
-    added = IntegralSpec(g, spec.l + (vk + 1,), spec.k)
-    total = -stacky_integral_line(g, x, added, gamma_vec)
-    for i, li in enumerate(spec.l):
-        if li == 0:
-            continue
-        shifted = list(spec.l)
-        shifted[i] = li + vk
-        term_spec = IntegralSpec(g, tuple(shifted), spec.k)
-        total += _line_coefficient(Fraction(li), vk) * stacky_integral_line(g, x, term_spec, gamma_vec)
-    for j, (kj, b) in enumerate(zip(spec.k, blocks)):
-        shifted = list(spec.k)
-        shifted[j] = kj + vk
-        term_spec = IntegralSpec(g, spec.l, tuple(shifted))
-        weight = _line_coefficient(kj + Fraction(b, x.N), vk)
-        total += weight * stacky_integral_line(g, x, term_spec, gamma_vec)
-    return total
+    """Residual of the line recursion with weights w(v) = prod_{m=0..vk}(v + m)/(vk+1)!
+    at v = l_i and k_j + b_j/N; exactly zero for any admissible instance and gamma."""
+    return LINE.recursion_residual(g, x, spec, vk, gamma)
 
 
 def nonstacky_recursion_residual_line(g: int, l: Sequence[int], vk: int, initial: Rational) -> Fraction:
-    """Residual of the same recursion applied to the insertion-only closed
-    form.  The local weight family cannot absorb the added insertion here:
-    on dimension-coherent inputs the residual equals
-    -(2g+n-2)!/(vk! prod l_i!) * initial rather than zero."""
-    if not isinstance(vk, int) or vk < 1:
-        raise ValueError(f"Virasoro index must be a positive integer, got {vk!r}")
-    l = _validated_exponents(l, "plain")
-    total = -nonstacky_integral_line(g, l + (vk + 1,), initial)
-    for i, li in enumerate(l):
-        if li == 0:
-            continue
-        shifted = list(l)
-        shifted[i] = li + vk
-        total += _line_coefficient(Fraction(li), vk) * nonstacky_integral_line(g, tuple(shifted), initial)
-    return total
+    """The recursion on the insertion-only closed form; on dimension-coherent
+    inputs it is -(2g+n-2)!/(vk! prod l_i!) * initial, not zero."""
+    return LINE.nonstacky_recursion_residual(g, l, vk, initial)

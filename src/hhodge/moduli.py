@@ -18,6 +18,7 @@ __all__ = [
     "rank_r1",
     "rank_rNm1",
     "is_admissible",
+    "dim_gate",
     "dim_gate_line",
     "dim_gate_surface",
     "resolve_gamma",
@@ -122,30 +123,26 @@ def is_admissible(g: int, x: StackyType) -> bool:
     return r1.denominator == 1 and r1 >= 0
 
 
+def dim_gate(g: int, x: StackyType, spec: IntegralSpec, s: int) -> bool:
+    """Dimension gate of the theory with scale s (1 line, 2 surface) and
+    half-shift h = 1 - 1/s: the integral can be nonzero only when
+    sum(l_i - h) + sum(k_j + s i_j/N - h) = (2g - 2 + n + total)/s."""
+    _check_spec(g, x, spec)
+    count = len(spec.l) + x.total
+    lhs = sum(spec.l) + sum(spec.k) + Fraction(s * x.weighted_sum(), x.N) - count * (1 - Fraction(1, s))
+    return lhs == Fraction(2 * g - 2 + count, s)
+
+
 def dim_gate_line(g: int, x: StackyType, spec: IntegralSpec) -> bool:
     """Line-theory dimension gate: the integral can be nonzero only when
     sum(l) + sum(k_j + i_j/N) = 2g - 2 + n + total."""
-    _check_spec(g, x, spec)
-    blocks = x.blocks()
-    lhs = Fraction(sum(spec.l))
-    for kj, b in zip(spec.k, blocks):
-        lhs += kj + Fraction(b, x.N)
-    rhs = Fraction(2 * g - 2 + len(spec.l) + x.total)
-    return lhs == rhs
+    return dim_gate(g, x, spec, 1)
 
 
 def dim_gate_surface(g: int, x: StackyType, spec: IntegralSpec) -> bool:
     """Surface-theory dimension gate: the integral can be nonzero only when
     sum(l_i - 1/2) + sum(k_j - 1/2 + 2 i_j/N) = g + (n + total - 2)/2."""
-    _check_spec(g, x, spec)
-    blocks = x.blocks()
-    lhs = Fraction(0)
-    for li in spec.l:
-        lhs += li - Fraction(1, 2)
-    for kj, b in zip(spec.k, blocks):
-        lhs += kj - Fraction(1, 2) + Fraction(2 * b, x.N)
-    rhs = g + Fraction(len(spec.l) + x.total - 2, 2)
-    return lhs == rhs
+    return dim_gate(g, x, spec, 2)
 
 
 _THEORIES = ("line", "surface")
@@ -162,12 +159,6 @@ class GammaTable:
 
     def __init__(self):
         self._table: dict[tuple, tuple[Fraction, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def keys(self):
-        return self._table.keys()
 
     def add(self, theory: str, N: int, g: int, n: Sequence[int], gamma: Sequence[Rational]) -> None:
         if theory not in _THEORIES:
@@ -190,6 +181,9 @@ class GammaTable:
         missing = required - set(obj)
         if missing:
             raise ValueError(f"gamma record missing fields: {sorted(missing)}")
+        # JSON true/false parse as bool, a subclass of int
+        if any(isinstance(v, bool) for v in (obj["N"], obj["g"], *obj["n"], *obj["gamma"])):
+            raise ValueError("gamma record fields N, g, n and gamma must not hold booleans")
         gamma = [rational_from_str(v) if isinstance(v, str) else Fraction(v) for v in obj["gamma"]]
         self.add(obj["theory"], obj["N"], obj["g"], obj["n"], gamma)
 

@@ -11,19 +11,22 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .line_theory import seed_exponent_line
+from .line_theory import LINE
 from .moduli import IntegralSpec, StackyType, is_admissible
-from .surface_theory import seed_exponent_surface, surface_weight
+from .surface_theory import SURFACE
 
 __all__ = [
     "EXPONENT_CAP",
     "RecursionInstance",
+    "THEORIES",
     "sample_admissible_type",
     "sample_gamma",
     "sample_instance",
 ]
 
 EXPONENT_CAP = 6
+
+THEORIES = {t.name: t for t in (LINE, SURFACE)}
 
 
 @dataclass(frozen=True)
@@ -44,13 +47,10 @@ class RecursionInstance:
         return IntegralSpec(self.g, self.l, self.k)
 
 
-def _has_degenerate_weight(x: StackyType) -> bool:
-    return any(count > 0 and surface_weight(x, i) == 0 for i, count in enumerate(x.n, start=1))
-
-
 def sample_admissible_type(rng: random.Random, theory: str, max_n: int = 5, max_total: int = 6) -> StackyType:
-    """Rejection-sample an admissible type with 2 <= N <= max_n and at least
-    two insertions; surface types additionally avoid degenerate weights."""
+    """Rejection-sample an admissible type with 2 <= N <= max_n, at least two
+    insertions and no block of weight zero (only surface blocks can have it)."""
+    th = THEORIES[theory]
     while True:
         N = rng.randint(2, max_n)
         total = rng.randint(2, max_total)
@@ -60,7 +60,7 @@ def sample_admissible_type(rng: random.Random, theory: str, max_n: int = 5, max_
         x = StackyType(N, tuple(n))
         if x.weighted_sum() % N != 0:
             continue
-        if theory == "surface" and _has_degenerate_weight(x):
+        if any(count and th.block_weight(N, i) == 0 for i, count in enumerate(n, start=1)):
             continue
         return x
 
@@ -73,17 +73,15 @@ def sample_gamma(rng: random.Random, size: int) -> tuple[Fraction, ...]:
 def sample_instance(rng: random.Random, theory: str) -> RecursionInstance:
     """Draw an admissible, dimension-coherent recursion instance with all
     exponents at most EXPONENT_CAP and Virasoro index in {1, 2, 3}."""
-    if theory not in ("line", "surface"):
+    if theory not in THEORIES:
         raise ValueError(f"theory must be 'line' or 'surface', got {theory!r}")
+    th = THEORIES[theory]
     while True:
         x = sample_admissible_type(rng, theory)
         g = rng.randint(1, 4)
         if not is_admissible(g, x):
             continue
-        if theory == "line":
-            a = seed_exponent_line(g, x)
-        else:
-            a = seed_exponent_surface(g, x)
+        a = th.seed_exponent(g, x)
         if a < 1:
             # the defining system needs a nonzero diagonal shift
             continue

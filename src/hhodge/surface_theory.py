@@ -1,10 +1,12 @@
 """Descendant integrals for the weighted projective plane with one stacky point.
 
-The surface analogue runs on half-shifted exponents: plain insertions carry
-weight l - 1/2 and stacky insertions k + 2i/N - 1/2.  The coefficient matrix
-is offered in two variants: "consistent" (entries 2i/N - 1/2, the default,
-whose scaled rows reproduce theta_surface at the defining exponents) and
-"verbatim" (entries 2i/N, kept for audit; its seed reproduction fails).
+The stacky integrals run on the shared engine (theory.py) with scale s = 2,
+that is on half-shifted exponents: plain insertions carry weight l - 1/2 and
+stacky insertions k + 2i/N - 1/2.  The coefficient matrix is offered in two
+variants: "consistent" (entries 2i/N - 1/2, the default, whose scaled rows
+reproduce theta_surface at the defining exponents) and "verbatim" (entries
+2i/N, kept for audit; its seed reproduction fails).  The surface's own pieces
+are the insertion-only closed form and the "printed" weight family.
 """
 
 from __future__ import annotations
@@ -13,17 +15,10 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import det_exact, solve_exact
-from .errors import DegenerateWeightError, InadmissibleTypeError
-from .exact_arith import Rational, double_factorial, frac_factorial, shifted_factorial
-from .line_theory import solve_coefficients
-from .moduli import (
-    IntegralSpec,
-    StackyType,
-    dim_gate_surface,
-    is_admissible,
-    resolve_gamma,
-)
+from ._linalg import det_exact
+from .exact_arith import Rational, double_factorial
+from .moduli import IntegralSpec, StackyType
+from .theory import MATRIX_MODES, Theory, validated_exponents
 
 __all__ = [
     "MATRIX_MODES",
@@ -40,149 +35,6 @@ __all__ = [
     "nonstacky_recursion_residual_surface",
 ]
 
-MATRIX_MODES = ("consistent", "verbatim")
-
-_COEFF_CACHE: dict[tuple, tuple[Fraction, ...]] = {}
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in MATRIX_MODES:
-        raise ValueError(f"matrix mode must be one of {MATRIX_MODES}, got {mode!r}")
-
-
-def _validated_exponents(values: Sequence[int], label: str) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
-    if any(v < 0 for v in out):
-        raise ValueError(f"{label} exponents must be nonnegative")
-    return out
-
-
-def surface_weight(x: StackyType, i: int) -> Fraction:
-    """Block weight 2i/N - 1/2; zero exactly when N is divisible by 4 and
-    i = N/4, the degenerate case the row scaling refuses."""
-    if not 1 <= i <= x.N - 1:
-        raise ValueError(f"block index {i} out of range for N={x.N}")
-    return Fraction(2 * i, x.N) - Fraction(1, 2)
-
-
-def seed_exponent_surface(g: int, x: StackyType) -> int:
-    """The common defining exponent a = g - 1 + total - (2/N) sum(i n_i);
-    an integer for every admissible type."""
-    a = Fraction(g - 1 + x.total) - Fraction(2 * x.weighted_sum(), x.N)
-    if a.denominator != 1:
-        raise InadmissibleTypeError(
-            f"seed exponent {a} is not an integer; type N={x.N}, n={list(x.n)} is inadmissible"
-        )
-    return int(a)
-
-
-def _theta_numerator_surface(g: int, n_plain: int, total: int) -> Fraction:
-    # anchored at the no-plain-insertion value; each added plain insertion
-    # multiplies in the current half-integer dimension total.  A descending
-    # fractional factorial of the full argument would step by whole integers
-    # and break the recursion, so the product is built explicitly.
-    value = frac_factorial(Fraction(2 * g + total - 3, 2))
-    for m in range(1, n_plain + 1):
-        value *= Fraction(2 * g + m + total - 3, 2)
-    return value
-
-
-def theta_surface(g: int, x: StackyType, k: Sequence[int], l: Sequence[int]) -> tuple[Fraction, ...]:
-    """Half-shifted product formula: entry r is
-
-        P(n) * (k_r - 1/2 + 2 b_r/N) / (prod (l_j - 1/2)! * prod (k_j - 1/2 + 2 b_j/N)!)
-
-    where P(n) multiplies the no-insertion numerator by one half-step per
-    plain insertion and (.)! is the descending fractional factorial."""
-    k = _validated_exponents(k, "stacky")
-    l = _validated_exponents(l, "plain")
-    if len(k) != x.total:
-        raise ValueError(f"need {x.total} stacky exponents, got {len(k)}")
-    if x.total == 0:
-        raise ValueError("theta_surface needs at least one stacky insertion")
-    blocks = x.blocks()
-    denom = Fraction(1)
-    for lj in l:
-        denom *= frac_factorial(lj - Fraction(1, 2))
-    shifted = []
-    for kj, b in zip(k, blocks):
-        u = kj - Fraction(1, 2) + Fraction(2 * b, x.N)
-        shifted.append(u)
-        denom *= frac_factorial(u)
-    base = _theta_numerator_surface(g, len(l), x.total) / denom
-    return tuple(base * u for u in shifted)
-
-
-def build_matrix_surface(x: StackyType, a: Rational, mode: str = "consistent") -> list[list[Fraction]]:
-    """Square matrix with the block weight in column-block t everywhere and
-    + a on the diagonal.  Consistent mode uses 2i/N - 1/2; verbatim mode
-    uses 2i/N."""
-    _check_mode(mode)
-    if x.total == 0:
-        raise ValueError("matrix needs at least one stacky insertion")
-    af = Fraction(a)
-    blocks = x.blocks()
-    if mode == "consistent":
-        column = [surface_weight(x, b) for b in blocks]
-    else:
-        column = [Fraction(2 * b, x.N) for b in blocks]
-    return [
-        [entry + (af if s == t else 0) for t, entry in enumerate(column)]
-        for s in range(x.total)
-    ]
-
-
-def scale_matrix_surface(
-    matrix: Sequence[Sequence], g: int, x: StackyType, a: int
-) -> list[list[Fraction]]:
-    """Rescale row j (block i, weight w = 2i/N - 1/2) by
-
-        (g + (total-3)/2)! * w! / ((a + w)! * prod_i (w_i!)^n_i)
-
-    with all factorials descending fractional factorials.  Taking w! rather
-    than the bare weight keeps the rows equal to theta_surface at the
-    defining exponents even for blocks whose weight lies outside (0, 1].
-    A block of weight zero is refused as degenerate."""
-    if not isinstance(a, int) or a < 0:
-        raise ValueError(f"a must be a nonnegative integer, got {a!r}")
-    weight_product = Fraction(1)
-    for i, count in enumerate(x.n, start=1):
-        if count == 0:
-            continue
-        w = surface_weight(x, i)
-        if w == 0:
-            raise DegenerateWeightError(
-                f"degenerate surface weight: block i={i} of N={x.N} has 2i/N - 1/2 = 0"
-            )
-        weight_product *= frac_factorial(w) ** count
-    numerator = _theta_numerator_surface(g, 0, x.total)
-    blocks = x.blocks()
-    scaled = []
-    for row, b in zip(matrix, blocks):
-        w = surface_weight(x, b)
-        factor = numerator * frac_factorial(w) / (frac_factorial(a + w) * weight_product)
-        scaled.append([factor * Fraction(v) for v in row])
-    return scaled
-
-
-def matrix_det_surface(x: StackyType, a: Rational, mode: str = "consistent") -> Fraction:
-    """Determinant of build_matrix_surface via the elimination pipeline."""
-    return det_exact(build_matrix_surface(x, a, mode))
-
-
-def _coefficients_surface(
-    g: int, x: StackyType, gamma_vec: tuple[Fraction, ...], mode: str
-) -> tuple[Fraction, ...]:
-    key = (x.N, g, x.n, gamma_vec, mode)
-    cached = _COEFF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    a = seed_exponent_surface(g, x)
-    scaled = scale_matrix_surface(build_matrix_surface(x, a, mode), g, x, a)
-    solution = solve_coefficients(scaled, gamma_vec)
-    _COEFF_CACHE[key] = solution
-    return solution
-
 
 def nonstacky_integral_surface(g: int, l: Sequence[int], initial: Rational) -> Fraction:
     """Closed form with no stacky insertions:
@@ -190,7 +42,7 @@ def nonstacky_integral_surface(g: int, l: Sequence[int], initial: Rational) -> F
         (2g+n-3)! (2g-1)!! / ((2g-1)! prod (2 l_i - 1)!!) * initial
 
     when sum(l) = g + n - 1, else 0."""
-    l = _validated_exponents(l, "plain")
+    l = validated_exponents(l, "plain")
     if not isinstance(g, int) or g < 1:
         raise ValueError(f"g must be a positive integer, got {g!r}")
     if len(l) < 1:
@@ -204,84 +56,73 @@ def nonstacky_integral_surface(g: int, l: Sequence[int], initial: Rational) -> F
     return value * Fraction(initial)
 
 
+SURFACE = Theory("surface", 2, nonstacky_integral_surface)
+
+
+def surface_weight(x: StackyType, i: int) -> Fraction:
+    """Block weight 2i/N - 1/2; zero exactly at i = N/4, which the row scaling refuses."""
+    if not 1 <= i <= x.N - 1:
+        raise ValueError(f"block index {i} out of range for N={x.N}")
+    return SURFACE.block_weight(x.N, i)
+
+
+def seed_exponent_surface(g: int, x: StackyType) -> int:
+    """The defining exponent a = g - 1 + total - (2/N) sum(i n_i); integer if admissible."""
+    return SURFACE.seed_exponent(g, x)
+
+
+def theta_surface(g: int, x: StackyType, k: Sequence[int], l: Sequence[int]) -> tuple[Fraction, ...]:
+    """Entry r is P(n) u_r / (prod (l_j - 1/2)! prod u_j!) with u_j = k_j - 1/2 + 2 b_j/N
+    and P(n) one half-step of the dimension per plain insertion."""
+    return SURFACE.theta(g, x, k, l)
+
+
+def build_matrix_surface(x: StackyType, a: Rational, mode: str = "consistent") -> list[list[Fraction]]:
+    """2b_t/N - 1/2 (consistent) or 2b_t/N (verbatim) in column-block t, plus a on the diagonal."""
+    return SURFACE.build_matrix(x, a, mode)
+
+
+def scale_matrix_surface(
+    matrix: Sequence[Sequence], g: int, x: StackyType, a: int
+) -> list[list[Fraction]]:
+    """Rescale row j (weight w) by (g + (total-3)/2)! w! / ((a + w)! prod_i (w_i!)^n_i);
+    a block of weight zero raises DegenerateWeightError."""
+    return SURFACE.scale_matrix(matrix, g, x, a)
+
+
+def matrix_det_surface(x: StackyType, a: Rational, mode: str = "consistent") -> Fraction:
+    """Determinant of build_matrix_surface via the elimination pipeline."""
+    return det_exact(build_matrix_surface(x, a, mode))
+
+
 def stacky_integral_surface(
     g: int, x: StackyType, spec: IntegralSpec, gamma, mode: str = "consistent"
 ) -> Fraction:
-    """Evaluate the surface closed form: 0 when the dimension gate fails,
-    otherwise the solved coefficient vector dotted with theta_surface.
-
-    The verbatim mode solves against the literally printed matrix entries;
-    it is retained for audit and does not reproduce its own seeds."""
-    _check_mode(mode)
-    if spec.g != g:
-        raise ValueError(f"spec genus {spec.g} does not match g={g}")
-    if not is_admissible(g, x):
-        raise InadmissibleTypeError(f"type N={x.N}, n={list(x.n)} is inadmissible at g={g}")
-    if x.total == 0:
-        raise ValueError("type carries no stacky insertions; use nonstacky_integral_surface")
-    if not dim_gate_surface(g, x, spec):
-        return Fraction(0)
-    gamma_vec = resolve_gamma(gamma, "surface", g, x)
-    coeffs = _coefficients_surface(g, x, gamma_vec, mode)
-    theta = theta_surface(g, x, spec.k, spec.l)
-    return sum((c * t for c, t in zip(coeffs, theta)), Fraction(0))
+    """0 off the dimension gate, else the solved coefficients dotted with theta_surface."""
+    return SURFACE.integral(g, x, spec, gamma, mode)
 
 
 def reproduction_residual_surface(
     g: int, x: StackyType, j: int, gamma, mode: str = "consistent"
 ) -> Fraction:
-    """stacky_integral_surface at the defining exponents a*e_j minus gamma_j.
-
-    Zero in consistent mode; generically nonzero in verbatim mode, which is
-    the audit witness for the matrix-entry correction."""
-    gamma_vec = resolve_gamma(gamma, "surface", g, x)
-    a = seed_exponent_surface(g, x)
-    k = [0] * x.total
-    k[j] = a
-    spec = IntegralSpec(g, (), tuple(k))
-    return stacky_integral_surface(g, x, spec, gamma_vec, mode) - gamma_vec[j]
-
-
-def _surface_coefficient(value: Fraction, vk: int) -> Fraction:
-    """Recursion weight prod_{m=0..vk}(value + m) / prod_{m=0..vk}(1/2 + m).
-
-    Unlike the line weights this does not vanish at plain exponent 0: the
-    half-shifted argument -1/2 contributes a nonzero product."""
-    return shifted_factorial(value, vk) / shifted_factorial(Fraction(1, 2), vk)
+    """stacky_integral_surface at a*e_j minus gamma_j: zero in consistent mode,
+    generically nonzero in verbatim mode (the audit witness)."""
+    return SURFACE.reproduction_residual(g, x, j, gamma, mode)
 
 
 def recursion_residual_surface(
     g: int, x: StackyType, spec: IntegralSpec, vk: int, gamma, mode: str = "consistent"
 ) -> Fraction:
-    """Residual of the surface recursion at Virasoro index vk >= 1:
+    """Residual of the surface recursion with weights w(v) = prod(v + m)/prod(1/2 + m)
+    at v = l_i - 1/2 and k_j + 2b_j/N - 1/2; exactly zero, in either mode."""
+    return SURFACE.recursion_residual(g, x, spec, vk, gamma, mode)
 
-        -<added plain insertion vk+1> + sum_i w(l_i - 1/2) <l_i -> l_i + vk>
-                              + sum_j w(k_j + 2 b_j/N - 1/2) <k_j -> k_j + vk>
 
-    with w(v) = prod_{m=0..vk}(v + m) / prod_{m=0..vk}(1/2 + m).  Exactly
-    zero for every admissible instance and any gamma vector; the l_i = 0
-    terms must be kept."""
-    _check_mode(mode)
-    if not isinstance(vk, int) or vk < 1:
-        raise ValueError(f"Virasoro index must be a positive integer, got {vk!r}")
-    gamma_vec = resolve_gamma(gamma, "surface", g, x)
-    blocks = x.blocks()
-
-    added = IntegralSpec(g, spec.l + (vk + 1,), spec.k)
-    total = -stacky_integral_surface(g, x, added, gamma_vec, mode)
-    for i, li in enumerate(spec.l):
-        shifted = list(spec.l)
-        shifted[i] = li + vk
-        term_spec = IntegralSpec(g, tuple(shifted), spec.k)
-        weight = _surface_coefficient(li - Fraction(1, 2), vk)
-        total += weight * stacky_integral_surface(g, x, term_spec, gamma_vec, mode)
-    for j, (kj, b) in enumerate(zip(spec.k, blocks)):
-        shifted = list(spec.k)
-        shifted[j] = kj + vk
-        term_spec = IntegralSpec(g, spec.l, tuple(shifted))
-        weight = _surface_coefficient(kj + Fraction(2 * b, x.N) - Fraction(1, 2), vk)
-        total += weight * stacky_integral_surface(g, x, term_spec, gamma_vec, mode)
-    return total
+def _printed_weight(li: int, vk: int) -> Fraction:
+    return Fraction(
+        double_factorial(2 * li + 2 * vk - 1),
+        double_factorial(2 * vk + 1) * double_factorial(2 * li - 1),
+    )
 
 
 def nonstacky_recursion_residual_surface(
@@ -295,19 +136,5 @@ def nonstacky_recursion_residual_surface(
     -(2g - 2) times the common term value."""
     if family not in ("bracket", "printed"):
         raise ValueError(f"family must be 'bracket' or 'printed', got {family!r}")
-    if not isinstance(vk, int) or vk < 1:
-        raise ValueError(f"Virasoro index must be a positive integer, got {vk!r}")
-    l = _validated_exponents(l, "plain")
-    total = -nonstacky_integral_surface(g, l + (vk + 1,), initial)
-    for i, li in enumerate(l):
-        shifted = list(l)
-        shifted[i] = li + vk
-        if family == "bracket":
-            weight = _surface_coefficient(li - Fraction(1, 2), vk)
-        else:
-            weight = Fraction(
-                double_factorial(2 * li + 2 * vk - 1),
-                double_factorial(2 * vk + 1) * double_factorial(2 * li - 1),
-            )
-        total += weight * nonstacky_integral_surface(g, tuple(shifted), initial)
-    return total
+    weight = _printed_weight if family == "printed" else None
+    return SURFACE.nonstacky_recursion_residual(g, l, vk, initial, weight)

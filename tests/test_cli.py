@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hhodge
 from hhodge.cli import main
+
+# the src directory holding the imported package, for child interpreters
+SRC_DIR = os.path.dirname(os.path.dirname(hhodge.__file__))
 
 LINE_GAMMA = {"theory": "line", "N": 2, "g": 1, "n": [2], "gamma": ["1/16", "1/16"]}
 SURFACE_GAMMA = {"theory": "surface", "N": 2, "g": 2, "n": [2], "gamma": ["1", "1"]}
@@ -112,9 +118,26 @@ class TestIntegral:
         doc = run_json(capsys, "integral", "line", str(spec_path), "--gamma", gamma_file)
         assert doc["value"] == "1/16"
 
-    def test_malformed_spec_exits_two(self, capsys):
-        code, _, _ = run_cli(capsys, "integral", "line", '{"g":1}')
-        assert code == 2
+    def test_malformed_spec_exits_two(self, capsys, tmp_path):
+        for spec in (
+            '{"g":1}',
+            # JSON booleans are not integers
+            '{"N":2,"g":true,"n":[2],"k":[1,0]}',
+            '{"N":true,"g":1}',
+            '{"N":2,"g":1,"n":[true],"k":[1]}',
+            '{"N":2,"g":1,"n":[2],"k":[true,0]}',
+            '{"N":2,"g":1,"n":[2],"k":[1,0],"l":[false]}',
+        ):
+            code, _, _ = run_cli(capsys, "integral", "line", spec)
+            assert code == 2, spec
+        for field, value in (("g", True), ("N", True), ("n", [True, True]), ("gamma", [True, "1"])):
+            path = tmp_path / f"bool_{field}.json"
+            path.write_text(json.dumps(dict(LINE_GAMMA, **{field: value})))
+            code, _, err = run_cli(
+                capsys, "integral", "line", '{"N":2,"g":1,"n":[2],"k":[1,0]}', "--gamma", str(path)
+            )
+            assert code == 2, field
+            assert "boolean" in err
 
     def test_missing_spec_file_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "integral", "line", "no-such-file.json")
@@ -260,6 +283,20 @@ class TestVerify:
         _, first, _ = run_cli(capsys, "verify", "line", "--samples", "4", "--seed", "7")
         _, second, _ = run_cli(capsys, "verify", "line", "--samples", "4", "--seed", "7")
         assert first == second
+        # stdout from before the line and surface theories shared one engine
+        pinned = [
+            (
+                ("verify", "all", "--samples", "200", "--seed", "0"),
+                "26358223183d36e3d92a7497a296edccdb578495c613f3a979a3c03a92f6c982",
+            ),
+            (
+                ("verify", "surface", "--matrix-mode", "verbatim", "--samples", "200", "--seed", "0"),
+                "f04bf0211d7af6fe4fdfcb74a1b88deb438423cf19cdd167cd7b1b80c3d8e28f",
+            ),
+        ]
+        for argv, digest in pinned:
+            _, out, _ = run_cli(capsys, *argv)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
     def test_seed_changes_sampled_rows(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "line", "--samples", "4", "--seed", "1")
@@ -277,7 +314,22 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "hhodge", "series", "hodge", "--order", "4"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR),
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert [2, 0, "1/24"] in doc["coefficients"]
+
+
+DEMOS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS_DIR) if f.endswith(".py")))
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(DEMOS_DIR, demo)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    )
+    assert proc.returncode == 0, proc.stderr

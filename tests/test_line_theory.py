@@ -72,6 +72,8 @@ class TestSeedExponent:
 class TestThetaLine:
     def test_two_half_points(self):
         assert theta_line(1, X22, (1, 0), ()) == (fr(4), fr(4, 3))
+        # genus 0: the numerator is (2g-3+n+total)! = 0!, though 2g-3+total = -1
+        assert theta_line(0, X22, (0, 0), (1,)) == (fr(2), fr(2))
 
     def test_position_swap_swaps_entries(self):
         assert theta_line(1, X22, (0, 1), ()) == (fr(4, 3), fr(4))

@@ -196,6 +196,11 @@ class TestGammaTable:
         table = GammaTable()
         with pytest.raises(ValueError):
             table.add_dict({"theory": "line", "N": 2, "g": 1, "n": [2]})
+        # JSON booleans are not integers or rationals
+        record = {"theory": "line", "N": 2, "g": 1, "n": [2], "gamma": ["1", "1"]}
+        for field, value in (("g", True), ("N", True), ("n", [True, True]), ("gamma", [True, "1"])):
+            with pytest.raises(ValueError):
+                table.add_dict(dict(record, **{field: value}))
 
     def test_add_file_single_object_and_list(self, tmp_path):
         single = tmp_path / "one.json"
