@@ -1,7 +1,9 @@
 """Exact dense linear algebra over rationals.
 
 Gaussian elimination with partial pivoting on the largest-magnitude entry;
-pivot choice only affects intermediate sizes, never the exact result.
+pivot choice only affects intermediate sizes, never the exact result.  The
+theories solve their own systems in closed form; this generic route backs
+line_theory.solve_coefficients and is the tests' independent check of them.
 """
 
 from __future__ import annotations

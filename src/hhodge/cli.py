@@ -22,9 +22,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .exact_arith import rational_from_str, rational_to_str
-from ._linalg import det_exact
 from .line_theory import nonstacky_recursion_residual_line
-from .moduli import GammaTable, IntegralSpec, StackyType, dim_gate, is_admissible
+from .moduli import GammaTable, IntegralSpec, StackyType, dim_gate, is_admissible, is_int
 from .sampling import THEORIES, sample_instance
 from .series import (
     DEFAULT_ORDER,
@@ -48,6 +47,16 @@ EXIT_MISSING_DATA = 3
 EXIT_DEGENERATE = 4
 EXIT_VERIFY_FAILED = 5
 
+# Exit code of each refused input, in the order main() matches them.
+_EXIT_CODES = {
+    MissingGammaError: EXIT_MISSING_DATA,
+    DegenerateWeightError: EXIT_DEGENERATE,
+    SingularMatrixError: EXIT_DEGENERATE,
+    InadmissibleTypeError: EXIT_INPUT,
+    ValueError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+}
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
@@ -65,28 +74,23 @@ def _load_document(spec_arg: str) -> dict:
     return doc
 
 
-def _is_int(value) -> bool:
-    # JSON true/false parse as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_type(doc: dict) -> tuple[int, StackyType]:
     for field in ("N", "g"):
         if field not in doc:
             raise ValueError(f"spec document missing field {field!r}")
     N = doc["N"]
     g = doc["g"]
-    if not _is_int(N) or not _is_int(g):
+    if not is_int(N) or not is_int(g):
         raise ValueError("fields N and g must be integers")
     n = doc.get("n", [0] * (N - 1))
-    if not isinstance(n, list) or not all(_is_int(v) for v in n):
+    if not isinstance(n, list) or not all(is_int(v) for v in n):
         raise ValueError("field n must be a list of integers")
     return g, StackyType(N, tuple(n))
 
 
 def _exponent_list(doc: dict, field: str) -> tuple[int, ...]:
     values = doc.get(field, [])
-    if not isinstance(values, list) or not all(_is_int(v) for v in values):
+    if not isinstance(values, list) or not all(is_int(v) for v in values):
         raise ValueError(f"field {field!r} must be a list of integers")
     return tuple(values)
 
@@ -173,7 +177,7 @@ def cmd_matrix(args) -> int:
     out.update(
         {
             "a": str(a),
-            "det": rational_to_str(det_exact(matrix)),
+            "det": rational_to_str(th.det(x, a, mode)),
             "matrix": [[rational_to_str(v) for v in row] for row in matrix],
             "scaled": [[rational_to_str(v) for v in row] for row in scaled],
         }
@@ -328,12 +332,6 @@ def main(argv=None) -> int:
     try:
         _validate_args(args)
         return args.func(args)
-    except MissingGammaError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"hhodge: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DATA
-    except (DegenerateWeightError, SingularMatrixError) as exc:
-        print(f"hhodge: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (InadmissibleTypeError, ValueError, OSError) as exc:
-        print(f"hhodge: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

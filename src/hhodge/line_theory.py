@@ -13,10 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import det_exact, solve_exact
+from ._linalg import solve_exact
 from .exact_arith import Rational, multinomial
-from .moduli import IntegralSpec, StackyType
-from .theory import Theory, validated_exponents
+from .moduli import IntegralSpec, StackyType, nonnegative_ints
+from .theory import Theory
 
 __all__ = [
     "seed_exponent_line",
@@ -39,8 +39,8 @@ def nonstacky_integral_line(g: int, l: Sequence[int], initial: Rational, m: int 
     points: the n plain insertions and a point-class insertion at psi^m
     (psi-free by default).  multinomial(2g+n-2; l, m) times the genus-g
     one-point initial value, or 0 unless sum(l) + m = 2g - 2 + n."""
-    l = validated_exponents(l, "plain")
-    (m,) = validated_exponents((m,), "point-class")
+    l = nonnegative_ints(l, "plain exponents")
+    (m,) = nonnegative_ints((m,), "point-class exponents")
     if not isinstance(g, int) or g < 1:
         raise ValueError(f"g must be a positive integer, got {g!r}")
     if len(l) < 1:
@@ -76,12 +76,13 @@ def scale_matrix_line(
 
 
 def matrix_det_line(x: StackyType, a: Rational) -> Fraction:
-    """Determinant of build_matrix_line via the elimination pipeline."""
-    return det_exact(build_matrix_line(x, a))
+    """Determinant of build_matrix_line, a^(total-1) (a + sum(i n_i)/N)."""
+    return LINE.det(x, a)
 
 
 def solve_coefficients(matrix: Sequence[Sequence], gamma: Sequence[Rational]) -> tuple[Fraction, ...]:
-    """Exact solution of the scaled system; SingularMatrixError if it has none."""
+    """Exact solution of any square system by elimination; SingularMatrixError
+    if it has none.  The theories solve their own systems in closed form."""
     return tuple(solve_exact(matrix, gamma))
 
 

@@ -25,6 +25,23 @@ __all__ = [
 ]
 
 
+def is_int(value) -> bool:
+    # true/false are bools, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def nonnegative_ints(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """values as a tuple of nonnegative ints.  A bool or a non-integer is
+    refused rather than truncated, so 1.9 cannot pass for 1."""
+    out = tuple(values)
+    for v in out:
+        if not is_int(v):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    if any(v < 0 for v in out):
+        raise ValueError(f"{what} must be nonnegative")
+    return out
+
+
 @dataclass(frozen=True)
 class StackyType:
     """Cyclic order N plus the multiplicity n_i of marked points carrying
@@ -34,13 +51,11 @@ class StackyType:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
+        if not is_int(self.N) or self.N < 2:
             raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
-        n = tuple(int(v) for v in self.n)
+        n = nonnegative_ints(self.n, "multiplicities")
         if len(n) != self.N - 1:
             raise ValueError(f"need {self.N - 1} multiplicities for N={self.N}, got {len(n)}")
-        if any(v < 0 for v in n):
-            raise ValueError("multiplicities must be nonnegative")
         object.__setattr__(self, "n", n)
 
     @property
@@ -82,14 +97,10 @@ class IntegralSpec:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.g, int) or self.g < 0:
+        if not is_int(self.g) or self.g < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {self.g!r}")
-        l = tuple(int(v) for v in self.l)
-        k = tuple(int(v) for v in self.k)
-        if any(v < 0 for v in l) or any(v < 0 for v in k):
-            raise ValueError("descendant exponents must be nonnegative")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", nonnegative_ints(self.l, "descendant exponents"))
+        object.__setattr__(self, "k", nonnegative_ints(self.k, "descendant exponents"))
 
 
 def _check_spec(g: int, x: StackyType, spec: IntegralSpec) -> None:
@@ -163,13 +174,15 @@ class GammaTable:
     def add(self, theory: str, N: int, g: int, n: Sequence[int], gamma: Sequence[Rational]) -> None:
         if theory not in _THEORIES:
             raise ValueError(f"theory must be one of {_THEORIES}, got {theory!r}")
+        if not is_int(g):
+            raise ValueError(f"genus must be an integer, got {g!r}")
         x = StackyType(N, tuple(n))
         vec = tuple(Fraction(v) for v in gamma)
         if len(vec) != x.total:
             raise ValueError(
                 f"gamma vector has length {len(vec)}, type carries {x.total} insertions"
             )
-        key = (theory, x.N, int(g), x.n)
+        key = (theory, x.N, g, x.n)
         existing = self._table.get(key)
         if existing is not None and existing != vec:
             raise ValueError(f"conflicting gamma vectors for key {key}")
@@ -195,8 +208,11 @@ class GammaTable:
             self.add_dict(record)
 
     def get(self, theory: str, N: int, g: int, x_or_n: Union[StackyType, Sequence[int]]) -> tuple[Fraction, ...]:
-        n = x_or_n.n if isinstance(x_or_n, StackyType) else tuple(int(v) for v in x_or_n)
-        key = (theory, N, int(g), n)
+        # a non-integer key is refused like in add, not truncated onto another type
+        if not is_int(N) or not is_int(g):
+            raise ValueError(f"N and genus must be integers, got N={N!r}, g={g!r}")
+        n = x_or_n.n if isinstance(x_or_n, StackyType) else nonnegative_ints(x_or_n, "multiplicities")
+        key = (theory, N, g, n)
         try:
             return self._table[key]
         except KeyError:

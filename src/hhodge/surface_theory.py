@@ -15,10 +15,9 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import det_exact
 from .exact_arith import Rational, double_factorial
-from .moduli import IntegralSpec, StackyType
-from .theory import MATRIX_MODES, Theory, validated_exponents
+from .moduli import IntegralSpec, StackyType, nonnegative_ints
+from .theory import MATRIX_MODES, Theory
 
 __all__ = [
     "MATRIX_MODES",
@@ -45,8 +44,8 @@ def nonstacky_integral_surface(g: int, l: Sequence[int], initial: Rational, m: i
 
     when sum(l) + m = g + n - 1, else 0.  The gate counts n + 1 points, the
     coefficient (2g+n-3)! only n, so the one-point value is initial/(2g-1)."""
-    l = validated_exponents(l, "plain")
-    (m,) = validated_exponents((m,), "point-class")
+    l = nonnegative_ints(l, "plain exponents")
+    (m,) = nonnegative_ints((m,), "point-class exponents")
     if not isinstance(g, int) or g < 1:
         raise ValueError(f"g must be a positive integer, got {g!r}")
     if len(l) < 1:
@@ -95,8 +94,8 @@ def scale_matrix_surface(
 
 
 def matrix_det_surface(x: StackyType, a: Rational, mode: str = "consistent") -> Fraction:
-    """Determinant of build_matrix_surface via the elimination pipeline."""
-    return det_exact(build_matrix_surface(x, a, mode))
+    """Determinant of build_matrix_surface, a^(total-1) (a + sum of its column entries)."""
+    return SURFACE.det(x, a, mode)
 
 
 def stacky_integral_surface(

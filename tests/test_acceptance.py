@@ -19,6 +19,7 @@ import random
 import time
 from fractions import Fraction
 
+from hhodge._linalg import det_exact
 from hhodge.exact_arith import rational_from_str, rational_to_str
 from hhodge.cli import main, run_verify
 from hhodge.line_theory import (
@@ -138,7 +139,8 @@ class TestDeterminantLaw:
                     n[rng.randrange(N - 1)] += 1
                 x = StackyType(N, tuple(n))
                 a = fr(rng.randint(1, 6), rng.randint(1, 3))
-                assert matrix_det_line(x, a) == self.closed_form(x, a)
+                # matrix_det_line is the closed form itself; elimination is the second route
+                assert det_exact(build_matrix_line(x, a)) == matrix_det_line(x, a) == self.closed_form(x, a)
 
 
 class TestSurfaceRecursionSuite:

@@ -112,6 +112,15 @@ class TestIntegral:
         assert code == 4
         assert "degenerate" in err.lower()
 
+    def test_singular_system_exits_four(self, capsys, tmp_path):
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps({"theory": "line", "N": 2, "g": 0, "n": [4], "gamma": ["1", "2", "3", "4"]}))
+        code, out, err = run_cli(
+            capsys, "integral", "line", '{"N":2,"g":0,"n":[4],"k":[0,0,0,0]}', "--gamma", str(path)
+        )
+        assert (code, out) == (4, "")
+        assert err == "hhodge: defining system is singular: a = 0 with 4 stacky insertions\n"
+
     def test_spec_file_path(self, capsys, tmp_path, gamma_file):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"N":2,"g":1,"n":[2],"k":[1,0],"l":[]}')
@@ -297,6 +306,53 @@ class TestVerify:
         for argv, digest in pinned:
             _, out, _ = run_cli(capsys, *argv)
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    def test_matrix_and_integral_outputs_are_pinned(self, capsys, tmp_path):
+        # stdout from when the defining systems were solved by elimination
+        gamma = ["1/3", "2/5", "3/7", "5/11"]
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps([
+            {"theory": theory, "N": 3, "g": 2, "n": [2, 2], "gamma": gamma} for theory in ("line", "surface")
+        ]))
+        pinned = [
+            (
+                ("matrix", "line", '{"N":3,"g":2,"n":[2,2]}'),
+                "9972c5d390f82671e7d257a08c4a6a951c70ce2e31431a6e8de751e35f7f4127",
+            ),
+            (  # M = 1
+                ("matrix", "surface", '{"N":2,"g":2,"n":[1]}'),
+                "2150eec6e6b2bd4e6498142f72828d6c148e8fe31a241009bbb3a0184b58fc9a",
+            ),
+            (
+                ("matrix", "surface", '{"N":3,"g":2,"n":[2,2]}'),
+                "9f07b42b268deda17cc63cbd936a9502f6e9c18d3ef1222d7c5d81ab0bfe4c05",
+            ),
+            (
+                ("matrix", "surface", '{"N":3,"g":2,"n":[2,2]}', "--matrix-mode", "verbatim"),
+                "b7abf9111d0336865c4624cebfcc0f225c053ee031fd5dd253df9cc4a4d5a5a4",
+            ),
+            (  # a = 0, det "0"
+                ("matrix", "line", '{"N":2,"g":0,"n":[4]}'),
+                "6c8be16d06462b1118f3e322503734179020cd30eb922c1d9cb4c5ff37a50315",
+            ),
+            (
+                ("integral", "line", '{"N":3,"g":2,"n":[2,2],"l":[2],"k":[1,1,1,0]}', "--gamma", str(path)),
+                "11c36c8422a31017345de4c09686bf452ca8626f15d5569d121999dddd669d36",
+            ),
+            (
+                ("integral", "surface", '{"N":3,"g":2,"n":[2,2],"k":[1,0,0,0]}', "--gamma", str(path),
+                 "--matrix-mode", "verbatim"),
+                "e0ca872831621b47228a69aad2a3c7173792f9bf154aef7b88726997e94a966b",
+            ),
+        ]
+        for argv, digest in pinned:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        # on the line an M = 1 type is never admissible
+        code, out, err = run_cli(capsys, "matrix", "line", '{"N":2,"g":1,"n":[1]}')
+        assert (code, out) == (2, "")
+        assert err == "hhodge: seed exponent 1/2 is not an integer; type N=2, n=[1] is inadmissible\n"
 
     def test_seed_changes_sampled_rows(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "line", "--samples", "4", "--seed", "1")

@@ -96,6 +96,12 @@ class TestThetaLine:
         with pytest.raises(ValueError):
             theta_line(0, StackyType(2, (1,)), (0,), ())
 
+    @pytest.mark.parametrize("k,l", [((0.7, 1.2), ()), ((0, 1), (1.5,)), ((True, 0), ()), ((0, 1), (False,))])
+    def test_rejects_non_integer_exponents(self, k, l):
+        # not truncated to the theta at int(k), int(l)
+        with pytest.raises(ValueError, match="integers"):
+            theta_line(1, StackyType(2, (2,)), k, l)
+
 
 class TestMatrixPipeline:
     def test_build(self):
@@ -281,6 +287,12 @@ class TestNonstackyIntegral:
     def test_rejects_empty_insertions(self):
         with pytest.raises(ValueError):
             nonstacky_integral_line(1, (), 1)
+
+    @pytest.mark.parametrize("l,m", [((1.9,), 0), ((True,), 0), ((1,), 0.0), ((0,), True)])
+    def test_rejects_non_integer_exponents(self, l, m):
+        # (1.9,) is not truncated to (1,), whose value is 1
+        with pytest.raises(ValueError, match="integers"):
+            nonstacky_integral_line(1, l, 1, m)
 
 
 class TestNonstackyRecursionDeviation:

@@ -51,6 +51,11 @@ class TestStackyType:
         with pytest.raises(ValueError):
             StackyType(2, (-1,))
 
+    @pytest.mark.parametrize("N,n", [(2, (1.5,)), (2, (2.0,)), (2, (True,)), (3, (1, False)), (True, ())])
+    def test_rejects_non_integers_and_booleans(self, N, n):
+        with pytest.raises(ValueError, match="integer"):
+            StackyType(N, n)
+
     def test_total_and_weighted_sum(self):
         x = StackyType(4, (1, 0, 2))
         assert x.total == 3
@@ -158,6 +163,13 @@ class TestIntegralSpec:
         with pytest.raises(ValueError):
             IntegralSpec(g=-1, l=(), k=())
 
+    @pytest.mark.parametrize(
+        "g,l,k", [(1, (1.9,), ()), (1, (), (0.5, 1)), (1, (True,), ()), (1, (), (False,)), (True, (), ())]
+    )
+    def test_rejects_non_integers_and_booleans(self, g, l, k):
+        with pytest.raises(ValueError, match="integer"):
+            IntegralSpec(g, l, k)
+
 
 class TestGammaTable:
     def test_add_and_get(self):
@@ -201,6 +213,20 @@ class TestGammaTable:
         for field, value in (("g", True), ("N", True), ("n", [True, True]), ("gamma", [True, "1"])):
             with pytest.raises(ValueError):
                 table.add_dict(dict(record, **{field: value}))
+        # nor are non-integer N, g and n truncated to integers
+        for field, value in (("g", 1.5), ("N", 2.0), ("n", [2.5])):
+            with pytest.raises(ValueError, match="integer"):
+                table.add_dict(dict(record, **{field: value}))
+
+    @pytest.mark.parametrize(
+        "N, g, n",
+        [(2, 1.5, (2,)), (2, 1, (2.7,)), (2, 1.5, (2.7,)), (2, True, (2,)), (2, 1, (True, 1)), (2.0, 1, (2,))],
+    )
+    def test_get_refuses_non_integer_keys(self, N, g, n):
+        table = GammaTable()
+        table.add("line", 2, 1, (2,), ["1/16", "1/16"])
+        with pytest.raises(ValueError, match="integer"):
+            table.get("line", N, g, n)
 
     def test_add_file_single_object_and_list(self, tmp_path):
         single = tmp_path / "one.json"
