@@ -16,22 +16,20 @@ from .errors import SingularMatrixError
 __all__ = ["solve_exact", "det_exact"]
 
 
-def _copy_matrix(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
+def _eliminate(matrix: Sequence[Sequence], rhs: Sequence | None = None):
+    """Forward elimination on copies of matrix and rhs (zeros if None).
+
+    Returns the upper-triangular rows, the transformed rhs and the sign of
+    the row permutation; a zero pivot column raises SingularMatrixError.
+    """
     rows = [[Fraction(v) for v in row] for row in matrix]
     size = len(rows)
     if size == 0 or any(len(row) != size for row in rows):
         raise ValueError("matrix must be square and nonempty")
-    return rows
-
-
-def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
-    """Solve matrix * x = rhs exactly; the returned residual is identically zero."""
-    rows = _copy_matrix(matrix)
-    size = len(rows)
-    vec = [Fraction(v) for v in rhs]
+    vec = [Fraction(0)] * size if rhs is None else [Fraction(v) for v in rhs]
     if len(vec) != size:
         raise ValueError(f"rhs has length {len(vec)}, expected {size}")
-
+    sign = 1
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda r: abs(rows[r][col]))
         if rows[pivot_row][col] == 0:
@@ -39,6 +37,7 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             vec[col], vec[pivot_row] = vec[pivot_row], vec[col]
+            sign = -sign
         pivot = rows[col][col]
         for r in range(col + 1, size):
             factor = rows[r][col] / pivot
@@ -47,7 +46,13 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
             for c in range(col, size):
                 rows[r][c] -= factor * rows[col][c]
             vec[r] -= factor * vec[col]
+    return rows, vec, sign
 
+
+def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
+    """Solve matrix * x = rhs exactly; the returned residual is identically zero."""
+    rows, vec, _ = _eliminate(matrix, rhs)
+    size = len(rows)
     solution = [Fraction(0)] * size
     for col in range(size - 1, -1, -1):
         acc = vec[col]
@@ -59,23 +64,11 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
 
 def det_exact(matrix: Sequence[Sequence]) -> Fraction:
     """Determinant by elimination; returns 0 (not an error) for singular input."""
-    rows = _copy_matrix(matrix)
-    size = len(rows)
-    sign = 1
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: abs(rows[r][col]))
-        if rows[pivot_row][col] == 0:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            factor = rows[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det * sign
+    try:
+        rows, _, sign = _eliminate(matrix)
+    except SingularMatrixError:
+        return Fraction(0)
+    det = Fraction(sign)
+    for i, row in enumerate(rows):
+        det *= row[i]
+    return det

@@ -39,6 +39,9 @@ __all__ = ["main", "run_verify"]
 
 ORDER_MIN = 2
 ORDER_CAP = 64
+# the line's initial value is row t^(2g) of a series capped at ORDER_CAP
+GENUS_CAP = ORDER_CAP // 2
+N_CAP = 1000
 GAMMA_DIR_ENV = "HHODGE_GAMMA_DIR"
 
 EXIT_OK = 0
@@ -82,6 +85,8 @@ def _parse_type(doc: dict) -> tuple[int, StackyType]:
     g = doc["g"]
     if not is_int(N) or not is_int(g):
         raise ValueError("fields N and g must be integers")
+    if N > N_CAP or g > GENUS_CAP:
+        raise ValueError(f"N must be at most {N_CAP} and g at most {GENUS_CAP}, got N={N}, g={g}")
     n = doc.get("n", [0] * (N - 1))
     if not isinstance(n, list) or not all(is_int(v) for v in n):
         raise ValueError("field n must be a list of integers")

@@ -190,13 +190,20 @@ class GammaTable:
 
     def add_dict(self, obj: dict) -> None:
         """Ingest one {"theory", "N", "g", "n", "gamma"} JSON object."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"gamma record must be a JSON object, got {type(obj).__name__}")
         required = {"theory", "N", "g", "n", "gamma"}
         missing = required - set(obj)
         if missing:
             raise ValueError(f"gamma record missing fields: {sorted(missing)}")
+        # a string would otherwise unpack as a vector of its characters
+        if not isinstance(obj["n"], list) or not isinstance(obj["gamma"], list):
+            raise ValueError("gamma record fields n and gamma must be lists")
         # JSON true/false parse as bool, a subclass of int
         if any(isinstance(v, bool) for v in (obj["N"], obj["g"], *obj["n"], *obj["gamma"])):
             raise ValueError("gamma record fields N, g, n and gamma must not hold booleans")
+        if not all(isinstance(v, (int, float, str)) for v in obj["gamma"]):
+            raise ValueError("gamma record entries must be numbers or strings")
         gamma = [rational_from_str(v) if isinstance(v, str) else Fraction(v) for v in obj["gamma"]]
         self.add(obj["theory"], obj["N"], obj["g"], obj["n"], gamma)
 

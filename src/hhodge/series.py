@@ -1,29 +1,35 @@
-"""Truncated power series in t whose coefficients are polynomials in z.
+"""One-point generating series: truncated power series in t whose
+coefficients are polynomials in z.
 
-The one-point generating functions built here encode descendant integrals:
-the coefficient of t^(2g) z^l is the genus-g integral pairing the descendant
-class with the l-th Chern class of the relevant bundle.  All arithmetic is
-exact; z is carried polynomially so one expansion serves every extraction.
+The coefficient of t^(2g) z^l is the genus-g one-point integral pairing the
+descendant class with the l-th Chern class of the relevant bundle.  Every
+table is sinc(t) = (t/2)/sin(t/2), the lambda_g series of Faber and
+Pandharipande, times a z-th power of sinc or of sinc_N(t) = sinc(Nt):
+
+    hodge     sinc * sinc^z
+    hurwitz   (1/N) * sinc * sinc_N^z
+    initial   (1/N) * sinc * (sinc_N^z - sinc^z)
+
+In u = t^2, with sigma_d = [u^d] sinc, L = log sinc and E = exp(zL) = sinc^z,
+sinc_N^z is E(N^2 u).  So row u^d of a table is the single sum
+sum_e sigma_(d-e) * (N^(2e) - delta)/N * E_e, where hodge has N = 1 and
+delta = 0, hurwitz delta = 0 and initial delta = 1.  Odd powers of t vanish.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .exact_arith import Rational
+from .moduli import is_int
 
 __all__ = [
     "DEFAULT_ORDER",
     "ZPoly",
     "ZPolySeries",
-    "series_mul",
-    "series_inverse",
-    "series_log",
-    "series_exp",
-    "sinc_half",
-    "pow_z_shift",
     "hodge_onepoint",
     "hurwitz_hodge_onepoint",
     "initial_onepoint",
@@ -44,10 +50,6 @@ class ZPoly:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
-    @classmethod
-    def const(cls, value: Rational) -> "ZPoly":
-        return cls((value,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -61,82 +63,27 @@ class ZPoly:
         return Fraction(0)
 
     def scale(self, c: Rational) -> "ZPoly":
-        cf = Fraction(c)
-        return ZPoly(v * cf for v in self.coeffs)
-
-    def __add__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return ZPoly(out)
+        return ZPoly(v * c for v in self.coeffs)
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly(-v for v in self.coeffs)
-
-    def __mul__(self, other: Union["ZPoly", Rational]) -> "ZPoly":
-        if not isinstance(other, ZPoly):
-            return self.scale(other)
-        if self.is_zero() or other.is_zero():
-            return ZPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, u in enumerate(self.coeffs):
-            if u == 0:
-                continue
-            for j, v in enumerate(other.coeffs):
-                out[i + j] += u * v
-        return ZPoly(out)
-
-    def __rmul__(self, other: Rational) -> "ZPoly":
-        return self.scale(other)
+        size = max(len(self.coeffs), len(other.coeffs))
+        return ZPoly(self.coeff(i) - other.coeff(i) for i in range(size))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ZPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"ZPoly({list(self.coeffs)!r})"
 
 
-def _as_zpoly(value) -> ZPoly:
-    if isinstance(value, ZPoly):
-        return value
-    return ZPoly.const(value)
-
-
 class ZPolySeries:
-    """Series in t truncated at t^order, with ZPoly coefficients.
-
-    Arithmetic results are truncated back to the same order; operands of
-    different orders are rejected rather than silently re-truncated.
-    """
+    """Series in t truncated at t^order: one ZPoly per power t^0..t^order."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        cs = [_as_zpoly(c) for c in coeffs]
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs += [ZPoly()] * (order + 1 - len(cs))
+    def __init__(self, order: int, coeffs: Iterable[ZPoly]):
         self.order = order
-        self.coeffs: tuple[ZPoly, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "ZPolySeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "ZPolySeries":
-        return cls(order, (ZPoly.const(1),))
+        self.coeffs: tuple[ZPoly, ...] = tuple(coeffs)
 
     def coeff(self, t_deg: int, z_deg: int | None = None):
         """The ZPoly at t^t_deg, or one rational entry of it."""
@@ -147,22 +94,13 @@ class ZPolySeries:
             return poly
         return poly.coeff(z_deg)
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
     def scale(self, c: Rational) -> "ZPolySeries":
         return ZPolySeries(self.order, (p.scale(c) for p in self.coeffs))
 
-    def __add__(self, other: "ZPolySeries") -> "ZPolySeries":
-        _require_same_order(self, other)
-        return ZPolySeries(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __sub__(self, other: "ZPolySeries") -> "ZPolySeries":
-        _require_same_order(self, other)
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} != {other.order}")
         return ZPolySeries(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "ZPolySeries":
-        return ZPolySeries(self.order, (-a for a in self.coeffs))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -171,147 +109,93 @@ class ZPolySeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
-    def __repr__(self) -> str:
-        return f"ZPolySeries(order={self.order}, coeffs={list(self.coeffs)!r})"
-
-
-def _require_same_order(a: ZPolySeries, b: ZPolySeries) -> None:
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} != {b.order}")
+def _positive(name: str, value) -> None:
+    if not is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def series_mul(a: ZPolySeries, b: ZPolySeries) -> ZPolySeries:
-    """Cauchy product truncated at the common order."""
-    _require_same_order(a, b)
-    out = [ZPoly() for _ in range(a.order + 1)]
-    for i, u in enumerate(a.coeffs):
-        if u.is_zero():
-            continue
-        for j in range(a.order + 1 - i):
-            v = b.coeffs[j]
-            if v.is_zero():
-                continue
-            out[i + j] = out[i + j] + u * v
-    return ZPolySeries(a.order, out)
+def _sinc_log(D: int) -> tuple[list[Fraction], list[Fraction]]:
+    """sigma_0..sigma_D of sinc and k*L_k for k = 0..D, in u = t^2."""
+    # sinc inverts sin(t/2)/(t/2) = sum_i (-1)^i u^i / (4^i (2i+1)!)
+    inv = [Fraction((-1) ** i, 4 ** i * math.factorial(2 * i + 1)) for i in range(D + 1)]
+    sigma = [Fraction(1)]
+    for d in range(1, D + 1):
+        sigma.append(-sum((inv[i] * sigma[d - i] for i in range(1, d + 1)), Fraction(0)))
+    # u sinc' = sinc * u L' gives d sigma_d = sum_k k L_k sigma_(d-k)
+    kL = [Fraction(0)]
+    for d in range(1, D + 1):
+        kL.append(d * sigma[d] - sum((kL[k] * sigma[d - k] for k in range(1, d)), Fraction(0)))
+    return sigma, kL
 
 
-def series_inverse(a: ZPolySeries) -> ZPolySeries:
-    """Multiplicative inverse; needs a nonzero z-free constant term."""
-    c0 = a.coeffs[0]
-    if c0.degree() > 0 or c0.is_zero():
-        raise ValueError("series_inverse needs a nonzero constant (z-free) leading term")
-    inv0 = 1 / c0.coeff(0)
-    out = [ZPoly.const(inv0)]
-    for m in range(1, a.order + 1):
-        acc = ZPoly()
-        for i in range(1, m + 1):
-            u = a.coeffs[i]
-            if u.is_zero():
-                continue
-            acc = acc + u * out[m - i]
-        out.append(acc.scale(-inv0))
-    return ZPolySeries(a.order, out)
-
-
-def series_log(a: ZPolySeries) -> ZPolySeries:
-    """Formal logarithm; needs constant term exactly 1."""
-    if a.coeffs[0] != ZPoly.const(1):
-        raise ValueError("series_log needs constant term 1")
-    u = a - ZPolySeries.one(a.order)
-    result = ZPolySeries.zero(a.order)
-    power = u
-    for m in range(1, a.order + 1):
-        if power.is_zero():
-            break
-        result = result + power.scale(Fraction((-1) ** (m + 1), m))
-        power = series_mul(power, u)
-    return result
-
-
-def series_exp(a: ZPolySeries) -> ZPolySeries:
-    """Formal exponential; needs constant term exactly 0."""
-    if not a.coeffs[0].is_zero():
-        raise ValueError("series_exp needs constant term 0")
-    result = ZPolySeries.one(a.order)
-    power = a
-    fact = 1
-    for m in range(1, a.order + 1):
-        if power.is_zero():
-            break
-        fact *= m
-        result = result + power.scale(Fraction(1, fact))
-        power = series_mul(power, a)
-    return result
-
-
-def sinc_half(scale: int, order: int = DEFAULT_ORDER) -> ZPolySeries:
-    """The even series (s*t/2)/sin(s*t/2) with s = scale; constant term 1.
-
-    sin is generated from its Taylor series, so every coefficient is an
-    exact rational in the scale.
-    """
-    if not isinstance(scale, int) or scale < 1:
-        raise ValueError(f"scale must be a positive integer, got {scale!r}")
-    half = Fraction(scale, 2)
-    coeffs = [Fraction(0)] * (order + 1)
-    for m in range(order // 2 + 1):
-        coeffs[2 * m] = Fraction((-1) ** m) * half ** (2 * m) / math.factorial(2 * m + 1)
-    sin_over_arg = ZPolySeries(order, coeffs)
-    return series_inverse(sin_over_arg)
-
-
-def pow_z_shift(f: ZPolySeries, c0: int, c1: int) -> ZPolySeries:
-    """f raised to the exponent c0 + c1*z, via exp((c0 + c1*z) * log f)."""
-    if not (isinstance(c0, int) and isinstance(c1, int)):
-        raise ValueError("exponent coefficients must be integers")
-    shift = ZPoly((c0, c1))
-    logf = series_log(f)
-    scaled = ZPolySeries(f.order, (shift * p for p in logf.coeffs))
-    return series_exp(scaled)
+def _table(N: int, order: int, delta: int) -> ZPolySeries:
+    """sum_e sigma_(d-e) (N^(2e) - delta)/N E_e at every row u^d up to t^order."""
+    if not is_int(order) or order < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {order!r}")
+    D = order // 2
+    sigma, kL = _sinc_log(D)
+    # E = exp(zL) from d E_d = z sum_k k L_k E_(d-k); E_d has z-degree d
+    E = [[Fraction(1)]]
+    for d in range(1, D + 1):
+        row = [Fraction(0)] * (d + 1)
+        for k in range(1, d + 1):
+            for j, c in enumerate(E[d - k]):
+                row[j + 1] += kL[k] * c
+        E.append([c / d for c in row])
+    weight = [Fraction(N ** (2 * e) - delta, N) for e in range(D + 1)]
+    rows = []
+    for d in range(D + 1):
+        row = [Fraction(0)] * (d + 1)
+        for e in range(d + 1):
+            w = sigma[d - e] * weight[e]
+            for j, c in enumerate(E[e]):
+                row[j] += w * c
+        rows.append(ZPoly(row))
+    return ZPolySeries(order, (ZPoly() if t % 2 else rows[t // 2] for t in range(order + 1)))
 
 
 def hodge_onepoint(order: int = DEFAULT_ORDER) -> ZPolySeries:
-    """One-point descendant/Chern-class generating series on curves.
+    """One-point descendant/Chern-class generating series on curves,
+    sinc^(1+z).
 
     Coefficient of t^(2g) z^l is the genus-g one-point integral against the
     (g-l)-th Chern class; the z-degree at t^(2g) is exactly g.
     """
-    return pow_z_shift(sinc_half(1, order), 1, 1)
+    return _table(1, order, 0)
 
 
 def hurwitz_hodge_onepoint(N: int, order: int = DEFAULT_ORDER) -> ZPolySeries:
-    """One-point generating series for the order-N cyclic twisted theory.
+    """One-point generating series for the order-N cyclic twisted theory,
+    (1/N) sinc sinc_N^z.
 
     Constant term 1/N; collapses to hodge_onepoint at N = 1.
     """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    twisted = pow_z_shift(sinc_half(N, order), 0, 1)
-    return series_mul(twisted, sinc_half(1, order)).scale(Fraction(1, N))
+    _positive("N", N)
+    return _table(N, order, 0)
 
 
 def initial_onepoint(N: int, order: int = DEFAULT_ORDER) -> ZPolySeries:
-    """Generating series of one-point initial values for the line theory.
+    """Generating series of one-point initial values for the line theory,
+    (1/N) sinc (sinc_N^z - sinc^z).
 
-    Built directly as (1/N) * sinc * (sinc_N^z - sinc^z); its z^0 row
-    vanishes identically and it is the zero series at N = 1.
+    Its z^0 row vanishes identically and it is the zero series at N = 1.
     """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
-    diff = pow_z_shift(sinc_half(N, order), 0, 1) - pow_z_shift(sinc_half(1, order), 0, 1)
-    return series_mul(sinc_half(1, order), diff).scale(Fraction(1, N))
+    _positive("N", N)
+    return _table(N, order, 1)
 
 
-def extract_line_initial(N: int, g: int, order: int | None = None) -> Fraction:
+def extract_line_initial(N: int, g: int) -> Fraction:
     """Coefficient of t^(2g) z^1 in initial_onepoint(N): the genus-g one-point
-    initial value seeding the line-theory closed forms."""
-    if not isinstance(g, int) or g < 1:
-        raise ValueError(f"g must be a positive integer, got {g!r}")
-    if order is None:
-        order = 2 * g
-    if order < 2 * g:
-        raise ValueError(f"order {order} too small for genus {g}")
-    return initial_onepoint(N, order).coeff(2 * g, 1)
+    initial value seeding the line-theory closed forms.
+
+    The z^1 coefficient of E_e is L_e, so this is
+    sum_e sigma_(g-e) (N^(2e) - 1)/N L_e.
+    """
+    _positive("N", N)
+    _positive("g", g)
+    sigma, kL = _sinc_log(g)
+    return sum(
+        (sigma[g - e] * Fraction(N ** (2 * e) - 1, N * e) * kL[e] for e in range(1, g + 1)),
+        Fraction(0),
+    )

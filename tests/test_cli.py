@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import hhodge
-from hhodge.cli import main
+from hhodge.cli import GENUS_CAP, N_CAP, main
 
 # the src directory holding the imported package, for child interpreters
 SRC_DIR = os.path.dirname(os.path.dirname(hhodge.__file__))
@@ -147,6 +147,36 @@ class TestIntegral:
             )
             assert code == 2, field
             assert "boolean" in err
+        # a record is an object, a string or a number is not read as a vector,
+        # and a vector entry is a number or a string
+        for name, document in (
+            ("string_gamma", dict(LINE_GAMMA, gamma="11")),
+            ("number_n", dict(LINE_GAMMA, n=2)),
+            ("list_of_numbers", [1, 2]),
+            ("null_entry", dict(LINE_GAMMA, gamma=[None, "1"])),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(document))
+            code, out, err = run_cli(
+                capsys, "integral", "line", '{"N":2,"g":1,"n":[2],"k":[1,0],"l":[]}', "--gamma", str(path)
+            )
+            assert (code, out) == (2, ""), name
+            assert err.startswith("hhodge: gamma record"), name
+
+    def test_oversized_type_exits_two(self, capsys):
+        for command in ("integral", "matrix"):
+            for spec in (
+                '{"N":100000000000,"g":1,"l":[1]}',
+                f'{{"N":{N_CAP + 1},"g":1}}',
+                f'{{"N":2,"g":{GENUS_CAP + 1},"l":[1]}}',
+                '{"N":2,"g":100000000000,"n":[2]}',
+            ):
+                code, out, err = run_cli(capsys, command, "line", spec)
+                assert (code, out) == (2, ""), (command, spec)
+                assert "at most" in err
+        # the caps themselves are accepted
+        doc = run_json(capsys, "integral", "line", f'{{"N":{N_CAP},"g":{GENUS_CAP},"l":[{2 * GENUS_CAP - 1}]}}')
+        assert doc["dim_ok"] is True
 
     def test_missing_spec_file_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "integral", "line", "no-such-file.json")
@@ -353,6 +383,35 @@ class TestVerify:
         code, out, err = run_cli(capsys, "matrix", "line", '{"N":2,"g":1,"n":[1]}')
         assert (code, out) == (2, "")
         assert err == "hhodge: seed exponent 1/2 is not an integer; type N=2, n=[1] is inadmissible\n"
+
+    def test_series_outputs_are_pinned(self, capsys):
+        # stdout from when the tables were built by series log and exp
+        pinned = [
+            (
+                ("series", "hodge", "--order", "64"),
+                "fa1f99bc11dbb8f7e3caafd5ddbc3d46593867a38e1a5117d8136aa915a803cd",
+            ),
+            (
+                ("series", "hurwitz", "--N", "6", "--order", "64"),
+                "e6fba89b9e3b0ad730dfb7f428af846d4641ae221d7d619ab11241f83f6066bb",
+            ),
+            (
+                ("series", "initial", "--N", "3", "--order", "64"),
+                "2a77e2ca0e96a471ef538e1c7d0f28833bdecacd89b67541dcc8bb53f17fe5f6",
+            ),
+            (
+                ("series", "initial", "--N", "1", "--order", "2"),
+                "7cf0d4750bdb2d01b1b4dd2c6b22d3e32d1660e3945bcaaf98541482bf235917",
+            ),
+            (
+                ("integral", "line", '{"N":5,"g":16,"l":[31]}'),
+                "0cc2a0b8c2c87761241c6ad97bd6412cfff5263d09a0ac543ae27bfa6bb6e6e2",
+            ),
+        ]
+        for argv, digest in pinned:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
     def test_seed_changes_sampled_rows(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "line", "--samples", "4", "--seed", "1")

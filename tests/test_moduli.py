@@ -217,6 +217,14 @@ class TestGammaTable:
         for field, value in (("g", 1.5), ("N", 2.0), ("n", [2.5])):
             with pytest.raises(ValueError, match="integer"):
                 table.add_dict(dict(record, **{field: value}))
+        # a record is an object, a string is not read as a vector of characters,
+        # and a vector entry is a number or a string
+        for bad in ([1, 2], "record", dict(record, gamma="11"), dict(record, n=2), dict(record, n="2"),
+                    dict(record, gamma=[None, "1"]), dict(record, gamma=[["1"], "1"])):
+            with pytest.raises(ValueError, match="gamma record"):
+                table.add_dict(bad)
+        with pytest.raises(MissingGammaError):
+            table.get("line", 2, 1, (2,))
 
     @pytest.mark.parametrize(
         "N, g, n",
