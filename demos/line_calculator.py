@@ -9,33 +9,22 @@ linear system, its exact solution, and the recursion the values satisfy.
 
 from fractions import Fraction
 
-from hhodge import (
-    IntegralSpec,
-    StackyType,
-    build_matrix_line,
-    extract_line_initial,
-    matrix_det_line,
-    recursion_residual_line,
-    reproduction_residual_line,
-    scale_matrix_line,
-    seed_exponent_line,
-    stacky_integral_line,
-)
+from hhodge import LINE, IntegralSpec, StackyType, extract_line_initial
 
 x = StackyType(2, (2,))
 g = 1
 
 # the common defining exponent; integer exactly because the type is admissible
-a = seed_exponent_line(g, x)
+a = LINE.seed_exponent(g, x)
 print(f"type N={x.N}, n={list(x.n)}, genus {g}: seed exponent a = {a}")
 
 # the defining system: block weights off-diagonal, a on the diagonal
-matrix = build_matrix_line(x, a)
+matrix = LINE.build_matrix(x, a)
 print("matrix:", matrix)
-print("det:", matrix_det_line(x, a))
+print("det:", LINE.det(x, a))
 
 # after row scaling, row j equals the product formula at exponents a*e_j
-scaled = scale_matrix_line(matrix, g, x, a)
+scaled = LINE.scale_matrix(matrix, g, x, a)
 print("scaled:", scaled)
 
 # seed the system with the series-derived one-point initial value
@@ -44,18 +33,18 @@ print("gamma:", gamma)
 
 # the solved integrals reproduce their seeds exactly
 for j in range(x.total):
-    assert reproduction_residual_line(g, x, j, gamma) == 0
+    assert LINE.reproduction_residual(g, x, j, gamma) == 0
 print("seed reproduction: exact at every position")
 
 # a few descendant values at other exponents; the last sits off the
 # dimension gate and vanishes for that reason alone
 for k, l in [((1, 0), ()), ((0, 1), ()), ((0, 0), (2,)), ((0, 0), (1,))]:
     spec = IntegralSpec(g, l, k)
-    value = stacky_integral_line(g, x, spec, gamma)
+    value = LINE.integral(g, x, spec, gamma)
     print(f"  k={k}, l={l}: {value}")
 
 # the recursion residual vanishes identically, term by exact term
 spec = IntegralSpec(g, (1,), (0, 0))
-residual = recursion_residual_line(g, x, spec, 1, gamma)
+residual = LINE.recursion_residual(g, x, spec, 1, gamma)
 assert residual == Fraction(0)
 print("recursion residual:", residual)

@@ -10,37 +10,30 @@ discrepancy on the smallest witness: cyclic order 2, two insertions, genus 2.
 
 from fractions import Fraction
 
-from hhodge import (
-    StackyType,
-    build_matrix_surface,
-    reproduction_residual_surface,
-    scale_matrix_surface,
-    seed_exponent_surface,
-    theta_surface,
-)
+from hhodge import SURFACE, StackyType
 
 x = StackyType(2, (2,))
 g = 2
-a = seed_exponent_surface(g, x)
+a = SURFACE.seed_exponent(g, x)
 gamma = (Fraction(1), Fraction(1))
 
 print(f"type N={x.N}, n={list(x.n)}, genus {g}: seed exponent a = {a}")
 
 # the product formula at the defining exponents a*e_j
-rows = [theta_surface(g, x, (a, 0), ()), theta_surface(g, x, (0, a), ())]
+rows = [SURFACE.theta(g, x, (a, 0), ()), SURFACE.theta(g, x, (0, a), ())]
 print("product-formula rows:", rows)
 
 for mode in ("consistent", "verbatim"):
-    matrix = build_matrix_surface(x, a, mode)
-    scaled = scale_matrix_surface(matrix, g, x, a)
+    matrix = SURFACE.build_matrix(x, a, mode)
+    scaled = SURFACE.scale_matrix(matrix, g, x, a)
     residuals = [
-        reproduction_residual_surface(g, x, j, gamma, mode) for j in range(x.total)
+        SURFACE.reproduction_residual(g, x, j, gamma, mode) for j in range(x.total)
     ]
     print(f"{mode}: scaled rows {scaled}")
     print(f"{mode}: seed-reproduction residuals {residuals}")
 
 # consistent mode matches the product formula row for row; verbatim is off
 # by a fixed -1/3 per unit of seed value on this witness
-assert reproduction_residual_surface(g, x, 0, gamma, "consistent") == 0
-assert reproduction_residual_surface(g, x, 0, gamma, "verbatim") == Fraction(-1, 3)
+assert SURFACE.reproduction_residual(g, x, 0, gamma, "consistent") == 0
+assert SURFACE.reproduction_residual(g, x, 0, gamma, "verbatim") == Fraction(-1, 3)
 print("witness confirmed: verbatim misses its seeds by -1/3")

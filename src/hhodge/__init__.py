@@ -4,6 +4,10 @@ descendant integrals on weighted projective lines and planes.
 Everything computes over exact rationals: closed forms, the linear systems
 fixing their coefficients, generating-series extraction of initial values,
 and recursion residuals that are identically zero when the formulas hold.
+
+The way in is the two theory records, LINE (the weighted projective line)
+and SURFACE (the plane): LINE.theta, LINE.integral, SURFACE.build_matrix,
+SURFACE.recursion_residual and the rest are one engine, the Theory class.
 The names below are the package's front door; everything else is imported
 from its submodule.
 """
@@ -15,30 +19,19 @@ from .errors import (
     MissingGammaError,
     SingularMatrixError,
 )
-from .line_theory import (
-    build_matrix_line,
-    matrix_det_line,
-    recursion_residual_line,
-    reproduction_residual_line,
-    scale_matrix_line,
-    seed_exponent_line,
-    stacky_integral_line,
-)
+from .line_theory import LINE
 from .moduli import GammaTable, IntegralSpec, StackyType
 from .series import extract_line_initial, hodge_onepoint, hurwitz_hodge_onepoint, initial_onepoint
-from .surface_theory import (
-    MATRIX_MODES,
-    build_matrix_surface,
-    reproduction_residual_surface,
-    scale_matrix_surface,
-    seed_exponent_surface,
-    theta_surface,
-)
+from .surface_theory import SURFACE
+from .theory import MATRIX_MODES, Theory
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "LINE",
+    "SURFACE",
+    "Theory",
     "MATRIX_MODES",
     "StackyType",
     "IntegralSpec",
@@ -52,16 +45,4 @@ __all__ = [
     "hurwitz_hodge_onepoint",
     "initial_onepoint",
     "extract_line_initial",
-    "seed_exponent_line",
-    "build_matrix_line",
-    "scale_matrix_line",
-    "matrix_det_line",
-    "stacky_integral_line",
-    "reproduction_residual_line",
-    "recursion_residual_line",
-    "seed_exponent_surface",
-    "theta_surface",
-    "build_matrix_surface",
-    "scale_matrix_surface",
-    "reproduction_residual_surface",
 ]

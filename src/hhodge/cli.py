@@ -42,6 +42,9 @@ ORDER_CAP = 64
 # the line's initial value is row t^(2g) of a series capped at ORDER_CAP
 GENUS_CAP = ORDER_CAP // 2
 N_CAP = 1000
+# stacky plus plain insertions of one spec: `matrix` prints M^2 entries, and
+# the digits of an integral grow with the count
+INSERTION_CAP = 64
 GAMMA_DIR_ENV = "HHODGE_GAMMA_DIR"
 
 EXIT_OK = 0
@@ -90,7 +93,12 @@ def _parse_type(doc: dict) -> tuple[int, StackyType]:
     n = doc.get("n", [0] * (N - 1))
     if not isinstance(n, list) or not all(is_int(v) for v in n):
         raise ValueError("field n must be a list of integers")
-    return g, StackyType(N, tuple(n))
+    x = StackyType(N, tuple(n))
+    plain = doc.get("l", [])
+    count = x.total + (len(plain) if isinstance(plain, list) else 0)
+    if count > INSERTION_CAP:
+        raise ValueError(f"a spec may carry at most {INSERTION_CAP} insertions, got {count}")
+    return g, x
 
 
 def _exponent_list(doc: dict, field: str) -> tuple[int, ...]:
@@ -325,8 +333,8 @@ def _validate_args(args) -> None:
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n_value = getattr(args, "N", None)
-    if n_value is not None and n_value < 1:
-        raise ValueError(f"N must be at least 1, got {n_value}")
+    if n_value is not None and not 1 <= n_value <= N_CAP:
+        raise ValueError(f"N must be at least 1 and at most {N_CAP}, got {n_value}")
     if getattr(args, "matrix_mode", None) and getattr(args, "theory", None) == "line":
         raise ValueError("--matrix-mode applies to the surface theory only")
 

@@ -19,8 +19,6 @@ __all__ = [
     "rank_rNm1",
     "is_admissible",
     "dim_gate",
-    "dim_gate_line",
-    "dim_gate_surface",
     "resolve_gamma",
 ]
 
@@ -63,24 +61,12 @@ class StackyType:
         """Number of stacky insertions."""
         return sum(self.n)
 
-    def prefix(self, i: int) -> int:
-        """M_i: how many insertions lie in blocks 1..i."""
-        if not 0 <= i <= self.N - 1:
-            raise ValueError(f"block index {i} out of range for N={self.N}")
-        return sum(self.n[:i])
-
     def blocks(self) -> tuple[int, ...]:
         """Block index (1-based monodromy) of each insertion position."""
         out = []
         for i, count in enumerate(self.n, start=1):
             out.extend([i] * count)
         return tuple(out)
-
-    def block_of(self, j: int) -> int:
-        """Block of the 0-based insertion position j."""
-        if not 0 <= j < self.total:
-            raise ValueError(f"position {j} out of range for {self.total} insertions")
-        return self.blocks()[j]
 
     def weighted_sum(self) -> int:
         """Sum of i * n_i; the type is admissible iff this is divisible by N."""
@@ -144,18 +130,6 @@ def dim_gate(g: int, x: StackyType, spec: IntegralSpec, s: int) -> bool:
     return lhs == Fraction(2 * g - 2 + count, s)
 
 
-def dim_gate_line(g: int, x: StackyType, spec: IntegralSpec) -> bool:
-    """Line-theory dimension gate: the integral can be nonzero only when
-    sum(l) + sum(k_j + i_j/N) = 2g - 2 + n + total."""
-    return dim_gate(g, x, spec, 1)
-
-
-def dim_gate_surface(g: int, x: StackyType, spec: IntegralSpec) -> bool:
-    """Surface-theory dimension gate: the integral can be nonzero only when
-    sum(l_i - 1/2) + sum(k_j - 1/2 + 2 i_j/N) = g + (n + total - 2)/2."""
-    return dim_gate(g, x, spec, 2)
-
-
 _THEORIES = ("line", "surface")
 
 
@@ -202,8 +176,10 @@ class GammaTable:
         # JSON true/false parse as bool, a subclass of int
         if any(isinstance(v, bool) for v in (obj["N"], obj["g"], *obj["n"], *obj["gamma"])):
             raise ValueError("gamma record fields N, g, n and gamma must not hold booleans")
-        if not all(isinstance(v, (int, float, str)) for v in obj["gamma"]):
-            raise ValueError("gamma record entries must be numbers or strings")
+        # a JSON float holds a binary value, not its decimal text: 0.1 would
+        # enter an exact table as 3602879701896397/36028797018963968
+        if not all(isinstance(v, (int, str)) for v in obj["gamma"]):
+            raise ValueError('gamma record entries must be integers or "p/q" strings')
         gamma = [rational_from_str(v) if isinstance(v, str) else Fraction(v) for v in obj["gamma"]]
         self.add(obj["theory"], obj["N"], obj["g"], obj["n"], gamma)
 

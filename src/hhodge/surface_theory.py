@@ -4,7 +4,7 @@ The stacky integrals run on the shared engine (theory.py) with scale s = 2,
 that is on half-shifted exponents: plain insertions carry weight l - 1/2 and
 stacky insertions k + 2i/N - 1/2.  The coefficient matrix is offered in two
 variants: "consistent" (entries 2i/N - 1/2, the default, whose scaled rows
-reproduce theta_surface at the defining exponents) and "verbatim" (entries
+reproduce SURFACE.theta at the defining exponents) and "verbatim" (entries
 2i/N, kept for audit; its seed reproduction fails).  The surface's own pieces
 are the insertion-only closed form and the "printed" weight family.
 """
@@ -17,22 +17,15 @@ from typing import Sequence
 
 from .exact_arith import Rational, double_factorial
 from .moduli import IntegralSpec, StackyType, nonnegative_ints
-from .theory import MATRIX_MODES, Theory
+from .theory import Theory
 
 __all__ = [
-    "MATRIX_MODES",
-    "surface_weight",
-    "seed_exponent_surface",
-    "theta_surface",
-    "build_matrix_surface",
-    "scale_matrix_surface",
+    "SURFACE",
     "matrix_det_surface",
     "nonstacky_integral_surface",
     "stacky_integral_surface",
     "reproduction_residual_surface",
-    "recursion_residual_surface",
     "nonstacky_recursion_residual_surface",
-    "nonstacky_complete_residual_surface",
 ]
 
 
@@ -62,46 +55,15 @@ def nonstacky_integral_surface(g: int, l: Sequence[int], initial: Rational, m: i
 SURFACE = Theory("surface", 2, nonstacky_integral_surface)
 
 
-def surface_weight(x: StackyType, i: int) -> Fraction:
-    """Block weight 2i/N - 1/2; zero exactly at i = N/4, which the row scaling refuses."""
-    if not 1 <= i <= x.N - 1:
-        raise ValueError(f"block index {i} out of range for N={x.N}")
-    return SURFACE.block_weight(x.N, i)
-
-
-def seed_exponent_surface(g: int, x: StackyType) -> int:
-    """The defining exponent a = g - 1 + total - (2/N) sum(i n_i); integer if admissible."""
-    return SURFACE.seed_exponent(g, x)
-
-
-def theta_surface(g: int, x: StackyType, k: Sequence[int], l: Sequence[int]) -> tuple[Fraction, ...]:
-    """Entry r is P(n) u_r / (prod (l_j - 1/2)! prod u_j!) with u_j = k_j - 1/2 + 2 b_j/N
-    and P(n) one half-step of the dimension per plain insertion."""
-    return SURFACE.theta(g, x, k, l)
-
-
-def build_matrix_surface(x: StackyType, a: Rational, mode: str = "consistent") -> list[list[Fraction]]:
-    """2b_t/N - 1/2 (consistent) or 2b_t/N (verbatim) in column-block t, plus a on the diagonal."""
-    return SURFACE.build_matrix(x, a, mode)
-
-
-def scale_matrix_surface(
-    matrix: Sequence[Sequence], g: int, x: StackyType, a: int
-) -> list[list[Fraction]]:
-    """Rescale row j (weight w) by (g + (total-3)/2)! w! / ((a + w)! prod_i (w_i!)^n_i);
-    a block of weight zero raises DegenerateWeightError."""
-    return SURFACE.scale_matrix(matrix, g, x, a)
-
-
 def matrix_det_surface(x: StackyType, a: Rational, mode: str = "consistent") -> Fraction:
-    """Determinant of build_matrix_surface, a^(total-1) (a + sum of its column entries)."""
+    """Determinant of SURFACE.build_matrix, a^(total-1) (a + sum of its column entries)."""
     return SURFACE.det(x, a, mode)
 
 
 def stacky_integral_surface(
     g: int, x: StackyType, spec: IntegralSpec, gamma, mode: str = "consistent"
 ) -> Fraction:
-    """0 off the dimension gate, else the solved coefficients dotted with theta_surface."""
+    """0 off the dimension gate, else the solved coefficients dotted with SURFACE.theta."""
     return SURFACE.integral(g, x, spec, gamma, mode)
 
 
@@ -111,14 +73,6 @@ def reproduction_residual_surface(
     """stacky_integral_surface at a*e_j minus gamma_j: zero in consistent mode,
     generically nonzero in verbatim mode (the audit witness)."""
     return SURFACE.reproduction_residual(g, x, j, gamma, mode)
-
-
-def recursion_residual_surface(
-    g: int, x: StackyType, spec: IntegralSpec, vk: int, gamma, mode: str = "consistent"
-) -> Fraction:
-    """Residual of the surface recursion with weights w(v) = prod(v + m)/prod(1/2 + m)
-    at v = l_i - 1/2 and k_j + 2b_j/N - 1/2; exactly zero, in either mode."""
-    return SURFACE.recursion_residual(g, x, spec, vk, gamma, mode)
 
 
 def _printed_weight(li: int, vk: int) -> Fraction:
@@ -144,11 +98,3 @@ def nonstacky_recursion_residual_surface(
         raise ValueError(f"family must be 'bracket' or 'printed', got {family!r}")
     weight = _printed_weight if family == "printed" else None
     return SURFACE.nonstacky_recursion_residual(g, l, vk, initial, weight)
-
-
-def nonstacky_complete_residual_surface(g: int, l: Sequence[int], vk: int, initial: Rational, m: int = 0) -> Fraction:
-    """The bracket recursion on nonstacky_integral_surface(g, l, initial, m)
-    with the point-class term, weight (m+1/2)_{vk+1}/(1/2)_{vk+1}.  Nonzero on
-    dimension-coherent inputs, because the closed form's coefficient is the
-    n-point (2g+n-3)!; with the (n+1)-point (2g+n-2)! it vanishes."""
-    return SURFACE.nonstacky_complete_residual(g, l, vk, initial, m)

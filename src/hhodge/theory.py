@@ -122,7 +122,7 @@ class Theory:
         if len(k) != x.total:
             raise ValueError(f"need {x.total} stacky exponents, got {len(k)}")
         if x.total == 0:
-            raise ValueError(f"theta_{self.name} needs at least one stacky insertion")
+            raise ValueError(f"{self.name} theta needs at least one stacky insertion")
         denom = Fraction(1)
         for lj in l:
             denom *= _factorial(lj - self.h)

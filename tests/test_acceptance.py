@@ -22,14 +22,7 @@ from fractions import Fraction
 from hhodge._linalg import det_exact
 from hhodge.exact_arith import rational_from_str, rational_to_str
 from hhodge.cli import main, run_verify
-from hhodge.line_theory import (
-    build_matrix_line,
-    matrix_det_line,
-    nonstacky_complete_residual_line,
-    recursion_residual_line,
-    reproduction_residual_line,
-    seed_exponent_line,
-)
+from hhodge.line_theory import LINE, matrix_det_line, reproduction_residual_line
 from hhodge.moduli import StackyType, rank_r1, rank_rNm1
 from hhodge.sampling import sample_admissible_type, sample_gamma, sample_instance
 from hhodge.series import (
@@ -38,11 +31,7 @@ from hhodge.series import (
     hurwitz_hodge_onepoint,
     initial_onepoint,
 )
-from hhodge.surface_theory import (
-    nonstacky_complete_residual_surface,
-    recursion_residual_surface,
-    reproduction_residual_surface,
-)
+from hhodge.surface_theory import SURFACE, reproduction_residual_surface
 
 fr = Fraction
 
@@ -78,7 +67,7 @@ class TestLineRecursionSuite:
         rng = random.Random(101)
         for _ in range(200):
             inst = sample_instance(rng, "line")
-            residual = recursion_residual_line(inst.g, inst.x, inst.spec, inst.vk, inst.gamma)
+            residual = LINE.recursion_residual(inst.g, inst.x, inst.spec, inst.vk, inst.gamma)
             assert residual == 0, f"nonzero residual {residual} on {inst}"
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"line recursion suite took {elapsed:.2f}s"
@@ -91,7 +80,7 @@ class TestLineSeedReproduction:
         while produced < 50:
             x = sample_admissible_type(rng, "line")
             g = rng.randint(1, 4)
-            if seed_exponent_line(g, x) < 1:
+            if LINE.seed_exponent(g, x) < 1:
                 continue
             gamma = sample_gamma(rng, x.total)
             for j in range(x.total):
@@ -123,7 +112,7 @@ class TestDeterminantLaw:
             if x.total > 4:
                 continue
             a = fr(rng.randint(1, 6), rng.randint(1, 3))
-            matrix = build_matrix_line(x, a)
+            matrix = LINE.build_matrix(x, a)
             brute = self.cofactor_det(matrix)
             assert brute == self.closed_form(x, a)
             assert brute == matrix_det_line(x, a)
@@ -140,7 +129,7 @@ class TestDeterminantLaw:
                 x = StackyType(N, tuple(n))
                 a = fr(rng.randint(1, 6), rng.randint(1, 3))
                 # matrix_det_line is the closed form itself; elimination is the second route
-                assert det_exact(build_matrix_line(x, a)) == matrix_det_line(x, a) == self.closed_form(x, a)
+                assert det_exact(LINE.build_matrix(x, a)) == matrix_det_line(x, a) == self.closed_form(x, a)
 
 
 class TestSurfaceRecursionSuite:
@@ -149,7 +138,7 @@ class TestSurfaceRecursionSuite:
         rng = random.Random(202)
         for _ in range(200):
             inst = sample_instance(rng, "surface")
-            residual = recursion_residual_surface(
+            residual = SURFACE.recursion_residual(
                 inst.g, inst.x, inst.spec, inst.vk, inst.gamma, "consistent"
             )
             assert residual == 0, f"nonzero residual {residual} on {inst}"
@@ -191,7 +180,7 @@ class TestInsertionOnlyClosedForms:
     def test_line_closed_form_satisfies_recursion(self):
         failures = []
         for g, l, vk in self.enumerate_instances():
-            residual = nonstacky_complete_residual_line(g, l, vk, fr(1))
+            residual = LINE.nonstacky_complete_residual(g, l, vk, fr(1))
             if residual != 0:
                 failures.append((g, l, vk, residual))
         assert not failures, (
@@ -206,7 +195,7 @@ class TestInsertionOnlyClosedForms:
         the (n+1)-point coefficient (2g+n-2)!."""
         failures = []
         for g, l, vk in self.enumerate_instances():
-            residual = nonstacky_complete_residual_surface(g, l, vk, fr(1))
+            residual = SURFACE.nonstacky_complete_residual(g, l, vk, fr(1))
             if residual != 0:
                 failures.append((g, l, vk, residual))
         assert not failures, (

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import hhodge
-from hhodge.cli import GENUS_CAP, N_CAP, main
+from hhodge.cli import GENUS_CAP, INSERTION_CAP, N_CAP, main
 
 # the src directory holding the imported package, for child interpreters
 SRC_DIR = os.path.dirname(os.path.dirname(hhodge.__file__))
@@ -163,6 +163,17 @@ class TestIntegral:
             assert (code, out) == (2, ""), name
             assert err.startswith("hhodge: gamma record"), name
 
+    def test_float_gamma_exits_two(self, capsys, tmp_path):
+        # 0.1 parses as a binary float; it is refused, not read as
+        # 3602879701896397/36028797018963968
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(dict(LINE_GAMMA, gamma=[0.1, "1"])))
+        code, out, err = run_cli(
+            capsys, "integral", "line", '{"N":2,"g":1,"n":[2],"k":[1,0],"l":[]}', "--gamma", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err == 'hhodge: gamma record entries must be integers or "p/q" strings\n'
+
     def test_oversized_type_exits_two(self, capsys):
         for command in ("integral", "matrix"):
             for spec in (
@@ -174,8 +185,30 @@ class TestIntegral:
                 code, out, err = run_cli(capsys, command, "line", spec)
                 assert (code, out) == (2, ""), (command, spec)
                 assert "at most" in err
+        # series --N is held to the same cap as a spec's N
+        code, out, err = run_cli(capsys, "series", "initial", "--N", str(10**90), "--order", "64")
+        assert (code, out) == (2, "")
+        assert err.startswith("hhodge: N must be at least 1 and at most")
         # the caps themselves are accepted
         doc = run_json(capsys, "integral", "line", f'{{"N":{N_CAP},"g":{GENUS_CAP},"l":[{2 * GENUS_CAP - 1}]}}')
+        assert doc["dim_ok"] is True
+        assert run_json(capsys, "series", "initial", "--N", str(N_CAP), "--order", "2")["N"] == N_CAP
+
+    def test_too_many_insertions_exit_two(self, capsys):
+        over = INSERTION_CAP + 1
+        for command, spec in (
+            ("matrix", f'{{"N":2,"g":1,"n":[{over}]}}'),
+            ("integral", f'{{"N":2,"g":1,"l":{json.dumps([1] * over)}}}'),
+            # stacky and plain insertions count together
+            ("integral", f'{{"N":2,"g":1,"n":[{INSERTION_CAP}],"k":{json.dumps([0] * INSERTION_CAP)},"l":[1]}}'),
+        ):
+            code, out, err = run_cli(capsys, command, "line", spec)
+            assert (code, out) == (2, ""), (command, spec)
+            assert err.startswith(f"hhodge: a spec may carry at most {INSERTION_CAP} insertions"), spec
+        # the cap itself is accepted
+        doc = run_json(capsys, "matrix", "line", f'{{"N":2,"g":1,"n":[{INSERTION_CAP}]}}')
+        assert len(doc["matrix"]) == INSERTION_CAP
+        doc = run_json(capsys, "integral", "line", f'{{"N":2,"g":1,"l":{json.dumps([1] * INSERTION_CAP)}}}')
         assert doc["dim_ok"] is True
 
     def test_missing_spec_file_exits_two(self, capsys):

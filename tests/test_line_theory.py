@@ -12,18 +12,12 @@ import pytest
 from hhodge.errors import InadmissibleTypeError, MissingGammaError, SingularMatrixError
 from hhodge.line_theory import (
     LINE,
-    build_matrix_line,
     matrix_det_line,
-    nonstacky_complete_residual_line,
     nonstacky_integral_line,
     nonstacky_recursion_residual_line,
-    recursion_residual_line,
     reproduction_residual_line,
-    scale_matrix_line,
-    seed_exponent_line,
     solve_coefficients,
     stacky_integral_line,
-    theta_line,
 )
 from hhodge.moduli import GammaTable, IntegralSpec, StackyType
 from hhodge.sampling import sample_gamma, sample_instance
@@ -65,47 +59,47 @@ def cofactor_det(matrix):
 class TestSeedExponent:
     @pytest.mark.parametrize("x,g,a", SEED_CASES)
     def test_values(self, x, g, a):
-        assert seed_exponent_line(g, x) == a
+        assert LINE.seed_exponent(g, x) == a
 
     def test_inadmissible_type_raises(self):
         with pytest.raises(InadmissibleTypeError):
-            seed_exponent_line(1, StackyType(2, (1,)))
+            LINE.seed_exponent(1, StackyType(2, (1,)))
 
 
 class TestThetaLine:
     def test_two_half_points(self):
-        assert theta_line(1, X22, (1, 0), ()) == (fr(4), fr(4, 3))
+        assert LINE.theta(1, X22, (1, 0), ()) == (fr(4), fr(4, 3))
         # genus 0: the numerator is (2g-3+n+total)! = 0!, though 2g-3+total = -1
-        assert theta_line(0, X22, (0, 0), (1,)) == (fr(2), fr(2))
+        assert LINE.theta(0, X22, (0, 0), (1,)) == (fr(2), fr(2))
 
     def test_position_swap_swaps_entries(self):
-        assert theta_line(1, X22, (0, 1), ()) == (fr(4, 3), fr(4))
+        assert LINE.theta(1, X22, (0, 1), ()) == (fr(4, 3), fr(4))
 
     def test_mixed_blocks_with_plain_points(self):
-        assert theta_line(2, X311, (1, 2), (0, 3)) == (fr(81, 4), fr(81, 2))
+        assert LINE.theta(2, X311, (1, 2), (0, 3)) == (fr(81, 4), fr(81, 2))
 
     def test_rejects_wrong_exponent_count(self):
         with pytest.raises(ValueError):
-            theta_line(1, X22, (1,), ())
+            LINE.theta(1, X22, (1,), ())
 
     def test_rejects_empty_type(self):
         with pytest.raises(ValueError):
-            theta_line(1, StackyType(2, (0,)), (), (1,))
+            LINE.theta(1, StackyType(2, (0,)), (), (1,))
 
     def test_rejects_negative_dimension_count(self):
         with pytest.raises(ValueError):
-            theta_line(0, StackyType(2, (1,)), (0,), ())
+            LINE.theta(0, StackyType(2, (1,)), (0,), ())
 
     @pytest.mark.parametrize("k,l", [((0.7, 1.2), ()), ((0, 1), (1.5,)), ((True, 0), ()), ((0, 1), (False,))])
     def test_rejects_non_integer_exponents(self, k, l):
         # not truncated to the theta at int(k), int(l)
         with pytest.raises(ValueError, match="integers"):
-            theta_line(1, StackyType(2, (2,)), k, l)
+            LINE.theta(1, StackyType(2, (2,)), k, l)
 
 
 class TestMatrixPipeline:
     def test_build(self):
-        assert build_matrix_line(X22, 1) == [
+        assert LINE.build_matrix(X22, 1) == [
             [fr(3, 2), fr(1, 2)],
             [fr(1, 2), fr(3, 2)],
         ]
@@ -124,7 +118,7 @@ class TestMatrixPipeline:
             if x.total > 4:
                 continue
             a = fr(rng.randint(1, 5), rng.randint(1, 3))
-            matrix = build_matrix_line(x, a)
+            matrix = LINE.build_matrix(x, a)
             assert det_matches_both(matrix, x, a)
 
     def test_det_closed_form_large(self):
@@ -132,23 +126,23 @@ class TestMatrixPipeline:
         assert matrix_det_line(x, 2) == expected_det(x, 2)
 
     def test_scale(self):
-        scaled = scale_matrix_line(build_matrix_line(X22, 1), 1, X22, 1)
+        scaled = LINE.scale_matrix(LINE.build_matrix(X22, 1), 1, X22, 1)
         assert scaled == [[fr(4), fr(4, 3)], [fr(4, 3), fr(4)]]
 
     @pytest.mark.parametrize("x,g,a", SEED_CASES)
     def test_scaled_rows_reproduce_theta(self, x, g, a):
-        scaled = scale_matrix_line(build_matrix_line(x, a), g, x, a)
+        scaled = LINE.scale_matrix(LINE.build_matrix(x, a), g, x, a)
         for j, row in enumerate(scaled):
             k = [0] * x.total
             k[j] = a
-            assert tuple(row) == theta_line(g, x, tuple(k), ())
+            assert tuple(row) == LINE.theta(g, x, tuple(k), ())
 
     def test_scale_rejects_fractional_exponent(self):
         with pytest.raises(ValueError):
-            scale_matrix_line(build_matrix_line(X22, 1), 1, X22, fr(1, 2))
+            LINE.scale_matrix(LINE.build_matrix(X22, 1), 1, X22, fr(1, 2))
 
     def test_solve(self):
-        scaled = scale_matrix_line(build_matrix_line(X22, 1), 1, X22, 1)
+        scaled = LINE.scale_matrix(LINE.build_matrix(X22, 1), 1, X22, 1)
         assert solve_coefficients(scaled, (fr(1, 16), fr(1, 16))) == (
             fr(3, 256),
             fr(3, 256),
@@ -156,7 +150,7 @@ class TestMatrixPipeline:
 
     def test_solve_singular(self):
         with pytest.raises(SingularMatrixError):
-            solve_coefficients(build_matrix_line(X22, 0), (fr(1), fr(1)))
+            solve_coefficients(LINE.build_matrix(X22, 0), (fr(1), fr(1)))
 
 
 def det_matches_both(matrix, x, a):
@@ -237,19 +231,19 @@ class TestRecursion:
     )
     def test_fixed_instances_vanish(self, x, g, spec, vk):
         gamma = tuple(fr(1, 2 + j) for j in range(x.total))
-        assert recursion_residual_line(g, x, spec, vk, gamma) == 0
+        assert LINE.recursion_residual(g, x, spec, vk, gamma) == 0
 
     def test_residual_vanishes_for_any_gamma(self):
         spec = IntegralSpec(1, (1,), (0, 0))
         for gamma in [(fr(1), fr(1)), (fr(7, 3), fr(-2, 5)), (fr(0), fr(9))]:
-            assert recursion_residual_line(1, X22, spec, 1, gamma) == 0
+            assert LINE.recursion_residual(1, X22, spec, 1, gamma) == 0
 
     def test_sampled_instances_vanish(self):
         rng = random.Random(2024)
         for _ in range(25):
             inst = sample_instance(rng, "line")
             assert (
-                recursion_residual_line(
+                LINE.recursion_residual(
                     inst.g, inst.x, inst.spec, inst.vk, inst.gamma
                 )
                 == 0
@@ -257,7 +251,7 @@ class TestRecursion:
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            recursion_residual_line(1, X22, IntegralSpec(1, (), (0, 0)), 0, (fr(1), fr(1)))
+            LINE.recursion_residual(1, X22, IntegralSpec(1, (), (0, 0)), 0, (fr(1), fr(1)))
 
 
 class TestNonstackyIntegral:
@@ -348,7 +342,7 @@ class TestNonstackyCompleteRecursion:
         initial = fr(1, 16)
         coherent = 0
         for g, l, vk in acceptance_instances():
-            assert nonstacky_complete_residual_line(g, l, vk, initial, m) == 0
+            assert LINE.nonstacky_complete_residual(g, l, vk, initial, m) == 0
             if sum(l) + m + vk == 2 * g - 2 + len(l):
                 # the displayed recursion alone deviates by minus the term:
                 # C(m+vk+1, vk+1) (2g+n-2)! / (prod l_i! (m+vk)!) * initial

@@ -14,8 +14,7 @@ from hhodge.moduli import (
     GammaTable,
     IntegralSpec,
     StackyType,
-    dim_gate_line,
-    dim_gate_surface,
+    dim_gate,
     is_admissible,
     rank_r1,
     rank_rNm1,
@@ -64,17 +63,15 @@ class TestStackyType:
     def test_blocks(self):
         x = StackyType(4, (2, 0, 1))
         assert x.blocks() == (1, 1, 3)
-        assert x.block_of(0) == 1
-        assert x.block_of(2) == 3
-        with pytest.raises(ValueError):
-            x.block_of(3)
+        assert x.blocks()[0] == 1
+        assert x.blocks()[2] == 3
 
     def test_prefix(self):
         x = StackyType(4, (2, 0, 1))
-        assert x.prefix(0) == 0
-        assert x.prefix(1) == 2
-        assert x.prefix(2) == 2
-        assert x.prefix(3) == 3
+        assert sum(x.n[:0]) == 0
+        assert sum(x.n[:1]) == 2
+        assert sum(x.n[:2]) == 2
+        assert sum(x.n[:3]) == 3
 
 
 class TestRanks:
@@ -118,28 +115,28 @@ class TestDimensionGates:
     def test_line_plain_points_only(self):
         x = StackyType(2, (0,))
         spec = IntegralSpec(g=1, l=(1,), k=())
-        assert dim_gate_line(1, x, spec)
-        assert not dim_gate_line(1, x, IntegralSpec(g=1, l=(2,), k=()))
+        assert dim_gate(1, x, spec, 1)
+        assert not dim_gate(1, x, IntegralSpec(g=1, l=(2,), k=()), 1)
 
     def test_line_stacky_points_only(self):
         x = StackyType(2, (2,))
-        assert dim_gate_line(1, x, IntegralSpec(g=1, l=(), k=(1, 0)))
+        assert dim_gate(1, x, IntegralSpec(g=1, l=(), k=(1, 0)), 1)
 
     def test_surface_plain_points_only(self):
         x = StackyType(2, (0,))
-        assert dim_gate_surface(1, x, IntegralSpec(g=1, l=(1,), k=()))
-        assert not dim_gate_surface(1, x, IntegralSpec(g=1, l=(0,), k=()))
+        assert dim_gate(1, x, IntegralSpec(g=1, l=(1,), k=()), 2)
+        assert not dim_gate(1, x, IntegralSpec(g=1, l=(0,), k=()), 2)
 
     def test_surface_stacky_points_only(self):
         x = StackyType(2, (2,))
-        assert dim_gate_surface(2, x, IntegralSpec(g=2, l=(), k=(1, 0)))
+        assert dim_gate(2, x, IntegralSpec(g=2, l=(), k=(1, 0)), 2)
 
     def test_gate_checks_spec_consistency(self):
         x = StackyType(2, (2,))
         with pytest.raises(ValueError):
-            dim_gate_line(1, x, IntegralSpec(g=2, l=(), k=(1, 0)))
+            dim_gate(1, x, IntegralSpec(g=2, l=(), k=(1, 0)), 1)
         with pytest.raises(ValueError):
-            dim_gate_line(1, x, IntegralSpec(g=1, l=(), k=(1,)))
+            dim_gate(1, x, IntegralSpec(g=1, l=(), k=(1,)), 1)
 
     @given(
         g=st.integers(min_value=0, max_value=4),
@@ -150,8 +147,8 @@ class TestDimensionGates:
         x = StackyType(3, (2, 0))
         fwd = IntegralSpec(g=g, l=tuple(l), k=tuple(k))
         rev = IntegralSpec(g=g, l=tuple(reversed(l)), k=tuple(reversed(k)))
-        assert dim_gate_line(g, x, fwd) == dim_gate_line(g, x, rev)
-        assert dim_gate_surface(g, x, fwd) == dim_gate_surface(g, x, rev)
+        assert dim_gate(g, x, fwd, 1) == dim_gate(g, x, rev, 1)
+        assert dim_gate(g, x, fwd, 2) == dim_gate(g, x, rev, 2)
 
 
 class TestIntegralSpec:
@@ -218,9 +215,11 @@ class TestGammaTable:
             with pytest.raises(ValueError, match="integer"):
                 table.add_dict(dict(record, **{field: value}))
         # a record is an object, a string is not read as a vector of characters,
-        # and a vector entry is a number or a string
+        # and a vector entry is an integer or a string: a float is refused, not
+        # taken at its binary value (0.1 is not 1/10)
         for bad in ([1, 2], "record", dict(record, gamma="11"), dict(record, n=2), dict(record, n="2"),
-                    dict(record, gamma=[None, "1"]), dict(record, gamma=[["1"], "1"])):
+                    dict(record, gamma=[None, "1"]), dict(record, gamma=[["1"], "1"]),
+                    dict(record, gamma=[0.1, "1"]), dict(record, gamma=[1.0, "1"])):
             with pytest.raises(ValueError, match="gamma record"):
                 table.add_dict(bad)
         with pytest.raises(MissingGammaError):

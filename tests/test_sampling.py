@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhodge.line_theory import seed_exponent_line
+from hhodge.line_theory import LINE
 from hhodge.moduli import is_admissible
 from hhodge.sampling import (
     EXPONENT_CAP,
@@ -15,7 +15,7 @@ from hhodge.sampling import (
     sample_gamma,
     sample_instance,
 )
-from hhodge.surface_theory import seed_exponent_surface, surface_weight
+from hhodge.surface_theory import SURFACE
 
 
 class TestSampleAdmissibleType:
@@ -34,7 +34,7 @@ class TestSampleAdmissibleType:
             x = sample_admissible_type(rng, "surface")
             for i, count in enumerate(x.n, start=1):
                 if count > 0:
-                    assert surface_weight(x, i) != 0
+                    assert SURFACE.block_weight(x.N, i) != 0
 
 
 class TestSampleGamma:
@@ -59,9 +59,9 @@ class TestSampleInstance:
             assert inst.theory == theory
             assert is_admissible(inst.g, inst.x)
             if theory == "line":
-                a = seed_exponent_line(inst.g, inst.x)
+                a = LINE.seed_exponent(inst.g, inst.x)
             else:
-                a = seed_exponent_surface(inst.g, inst.x)
+                a = SURFACE.seed_exponent(inst.g, inst.x)
             assert a >= 1
             assert 1 <= inst.vk <= 3
             # the budget puts every recursion term exactly on its gate

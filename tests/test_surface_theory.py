@@ -12,19 +12,14 @@ from hhodge.errors import DegenerateWeightError, InadmissibleTypeError
 from hhodge.moduli import IntegralSpec, StackyType
 from hhodge.sampling import sample_gamma, sample_instance
 from hhodge.surface_theory import (
-    MATRIX_MODES,
-    build_matrix_surface,
+    SURFACE,
     matrix_det_surface,
     nonstacky_integral_surface,
     nonstacky_recursion_residual_surface,
-    recursion_residual_surface,
     reproduction_residual_surface,
-    scale_matrix_surface,
-    seed_exponent_surface,
     stacky_integral_surface,
-    surface_weight,
-    theta_surface,
 )
+from hhodge.theory import MATRIX_MODES
 
 fr = Fraction
 
@@ -50,7 +45,7 @@ SEED_CASES = [
 def expected_det(x, a, mode):
     column_sum = fr(0)
     for i, count in enumerate(x.n, start=1):
-        entry = surface_weight(x, i) if mode == "consistent" else fr(2 * i, x.N)
+        entry = SURFACE.block_weight(x.N, i) if mode == "consistent" else fr(2 * i, x.N)
         column_sum += entry * count
     return fr(a) ** (x.total - 1) * (fr(a) + column_sum)
 
@@ -68,64 +63,60 @@ def cofactor_det(matrix):
 
 class TestWeights:
     def test_values(self):
-        assert surface_weight(X22, 1) == fr(1, 2)
-        assert surface_weight(LOW_WEIGHT, 1) == fr(-1, 10)
-        assert surface_weight(HIGH_WEIGHT, 4) == fr(11, 10)
-        assert surface_weight(DEGENERATE, 1) == 0
-
-    def test_rejects_out_of_range_block(self):
-        with pytest.raises(ValueError):
-            surface_weight(X22, 2)
+        assert SURFACE.block_weight(X22.N, 1) == fr(1, 2)
+        assert SURFACE.block_weight(LOW_WEIGHT.N, 1) == fr(-1, 10)
+        assert SURFACE.block_weight(HIGH_WEIGHT.N, 4) == fr(11, 10)
+        assert SURFACE.block_weight(DEGENERATE.N, 1) == 0
 
 
 class TestSeedExponent:
     @pytest.mark.parametrize("x,g,a", SEED_CASES)
     def test_values(self, x, g, a):
-        assert seed_exponent_surface(g, x) == a
+        assert SURFACE.seed_exponent(g, x) == a
 
     def test_fractional_exponent_raises(self):
         with pytest.raises(InadmissibleTypeError):
-            seed_exponent_surface(1, StackyType(3, (1, 0)))
+            SURFACE.seed_exponent(1, StackyType(3, (1, 0)))
 
 
 class TestThetaSurface:
     def test_two_half_points(self):
-        assert theta_surface(2, X22, (1, 0), ()) == (fr(3), fr(1))
+        assert SURFACE.theta(2, X22, (1, 0), ()) == (fr(3), fr(1))
 
     def test_mixed_blocks(self):
-        assert theta_surface(2, X311, (0, 1), (1,)) == (fr(108, 55), fr(108, 5))
+        assert SURFACE.theta(2, X311, (0, 1), (1,)) == (fr(108, 55), fr(108, 5))
 
     def test_plain_zero_exponents_step_by_half_integers(self):
         # each added plain insertion multiplies the previous value by the
         # current half-integer dimension total, here 2 then 5/2
-        assert theta_surface(2, X22, (1, 0), (0,)) == (fr(6), fr(2))
-        assert theta_surface(2, X22, (1, 0), (0, 0)) == (fr(15), fr(5))
+        assert SURFACE.theta(2, X22, (1, 0), (0,)) == (fr(6), fr(2))
+        assert SURFACE.theta(2, X22, (1, 0), (0, 0)) == (fr(15), fr(5))
 
     def test_rejects_wrong_exponent_count(self):
         with pytest.raises(ValueError):
-            theta_surface(2, X22, (1,), ())
+            SURFACE.theta(2, X22, (1,), ())
 
     def test_rejects_empty_type(self):
         with pytest.raises(ValueError):
-            theta_surface(1, StackyType(2, (0,)), (), (1,))
+            SURFACE.theta(1, StackyType(2, (0,)), (), (1,))
 
 
 class TestMatrixPipeline:
     def test_build_consistent(self):
-        assert build_matrix_surface(X22, 1) == [
+        assert SURFACE.build_matrix(X22, 1) == [
             [fr(3, 2), fr(1, 2)],
             [fr(1, 2), fr(3, 2)],
         ]
 
     def test_build_verbatim(self):
-        assert build_matrix_surface(X22, 1, "verbatim") == [
+        assert SURFACE.build_matrix(X22, 1, "verbatim") == [
             [fr(2), fr(1)],
             [fr(1), fr(2)],
         ]
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            build_matrix_surface(X22, 1, "literal")
+            SURFACE.build_matrix(X22, 1, "literal")
 
     def test_det_examples(self):
         assert matrix_det_surface(X22, 1) == 2
@@ -143,36 +134,36 @@ class TestMatrixPipeline:
             if x.total > 4:
                 continue
             a = fr(rng.randint(1, 5), rng.randint(1, 3))
-            matrix = build_matrix_surface(x, a, mode)
+            matrix = SURFACE.build_matrix(x, a, mode)
             assert cofactor_det(matrix) == matrix_det_surface(x, a, mode)
 
     def test_scale_consistent(self):
-        scaled = scale_matrix_surface(build_matrix_surface(X22, 1), 2, X22, 1)
+        scaled = SURFACE.scale_matrix(SURFACE.build_matrix(X22, 1), 2, X22, 1)
         assert scaled == [[fr(3), fr(1)], [fr(1), fr(3)]]
 
     def test_scale_verbatim(self):
-        scaled = scale_matrix_surface(build_matrix_surface(X22, 1, "verbatim"), 2, X22, 1)
+        scaled = SURFACE.scale_matrix(SURFACE.build_matrix(X22, 1, "verbatim"), 2, X22, 1)
         assert scaled == [[fr(4), fr(2)], [fr(2), fr(4)]]
 
     @pytest.mark.parametrize("x,g,a", SEED_CASES)
     def test_scaled_rows_reproduce_theta(self, x, g, a):
         # holds for every block weight, including those outside (0, 1]
-        scaled = scale_matrix_surface(build_matrix_surface(x, a), g, x, a)
+        scaled = SURFACE.scale_matrix(SURFACE.build_matrix(x, a), g, x, a)
         for j, row in enumerate(scaled):
             k = [0] * x.total
             k[j] = a
-            assert tuple(row) == theta_surface(g, x, tuple(k), ())
+            assert tuple(row) == SURFACE.theta(g, x, tuple(k), ())
 
     def test_degenerate_weight_refused(self):
-        matrix = build_matrix_surface(DEGENERATE, 1)
+        matrix = SURFACE.build_matrix(DEGENERATE, 1)
         with pytest.raises(DegenerateWeightError):
-            scale_matrix_surface(matrix, 2, DEGENERATE, 1)
+            SURFACE.scale_matrix(matrix, 2, DEGENERATE, 1)
 
     def test_degenerate_weight_refused_even_when_inadmissible(self):
         x = StackyType(4, (1, 0, 0))
-        matrix = build_matrix_surface(x, 1)
+        matrix = SURFACE.build_matrix(x, 1)
         with pytest.raises(DegenerateWeightError):
-            scale_matrix_surface(matrix, 1, x, 1)
+            SURFACE.scale_matrix(matrix, 1, x, 1)
 
 
 class TestStackyIntegral:
@@ -237,33 +228,33 @@ class TestRecursion:
     )
     def test_fixed_instances_vanish(self, x, g, spec, vk):
         gamma = tuple(fr(1, 2 + j) for j in range(x.total))
-        assert recursion_residual_surface(g, x, spec, vk, gamma) == 0
+        assert SURFACE.recursion_residual(g, x, spec, vk, gamma) == 0
 
     def test_plain_zero_exponent_term_is_kept(self):
         # the l = 0 shift term carries nonzero weight -1/(2 vk + 1) here;
         # the instance is dimension-coherent so the cancellation needs it
         spec = IntegralSpec(2, (2, 0), (0, 0))
         gamma = (fr(5, 7), fr(2, 3))
-        assert recursion_residual_surface(2, X22, spec, 1, gamma) == 0
+        assert SURFACE.recursion_residual(2, X22, spec, 1, gamma) == 0
 
     def test_residual_vanishes_for_any_gamma(self):
         spec = IntegralSpec(2, (1,), (0, 0))
         for gamma in [(fr(1), fr(1)), (fr(7, 3), fr(-2, 5)), (fr(4), fr(9))]:
-            assert recursion_residual_surface(2, X22, spec, 1, gamma) == 0
+            assert SURFACE.recursion_residual(2, X22, spec, 1, gamma) == 0
 
     def test_residual_vanishes_in_verbatim_mode_too(self):
         # the recursion holds row by row, so it cannot distinguish the modes;
         # only seed reproduction separates them
         spec = IntegralSpec(2, (1,), (0, 0))
         gamma = (fr(1), fr(1))
-        assert recursion_residual_surface(2, X22, spec, 1, gamma, "verbatim") == 0
+        assert SURFACE.recursion_residual(2, X22, spec, 1, gamma, "verbatim") == 0
 
     def test_sampled_instances_vanish(self):
         rng = random.Random(4048)
         for _ in range(25):
             inst = sample_instance(rng, "surface")
             assert (
-                recursion_residual_surface(
+                SURFACE.recursion_residual(
                     inst.g, inst.x, inst.spec, inst.vk, inst.gamma
                 )
                 == 0
@@ -271,7 +262,7 @@ class TestRecursion:
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            recursion_residual_surface(
+            SURFACE.recursion_residual(
                 2, X22, IntegralSpec(2, (), (0, 0)), 0, (fr(1), fr(1))
             )
 
