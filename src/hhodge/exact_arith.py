@@ -1,7 +1,9 @@
 """Exact factorial-type products and rational (de)serialization.
 
-Every function works over `fractions.Fraction` and returns exact values.
-The three factorial variants share one convention: an empty product is 1.
+Every function returns exact values.  The two kernels for rational arguments
+p/q (q >= 1) return integer pairs (numerator, denominator), so that a caller
+multiplies many of them on integers and builds one Fraction at the end.  The
+factorial variants share one convention: an empty product is 1.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from typing import Union
 
 __all__ = [
     "Rational",
-    "shifted_factorial",
-    "frac_factorial",
+    "frac_factorial_ints",
+    "shifted_factorial_ints",
     "double_factorial",
     "multinomial",
     "rational_to_str",
@@ -24,35 +26,37 @@ __all__ = [
 Rational = Union[int, Fraction]
 
 
-def shifted_factorial(x: Rational, k: int) -> Fraction:
-    """Ascending product (x)(x+1)...(x+k) over k+1 terms.
+def frac_factorial_ints(p: int, q: int) -> tuple[int, int]:
+    """(p/q)! as an integer pair (num, den): the descending product
+    p(p - q)(p - 2q)... over its positive terms, and q to their count.
 
-    k = -1 gives the empty product 1; k < -1 is rejected.
+    p in (-q, 0] gives the empty product (1, 1).  p <= -q is rejected: the
+    descent would never terminate on the negative side.
+    """
+    if p <= -q:
+        raise ValueError(f"frac_factorial needs p/q > -1, got {p}/{q}")
+    if q == 1:
+        return math.factorial(p), 1
+    num, den = 1, 1
+    while p > 0:
+        num *= p
+        den *= q
+        p -= q
+    return num, den
+
+
+def shifted_factorial_ints(p: int, q: int, k: int) -> tuple[int, int]:
+    """The ascending product (p/q)(p/q + 1)...(p/q + k) over k + 1 terms as
+    an integer pair (num, den): prod_m (p + m q) over q^(k+1).
+
+    k = -1 gives the empty product (1, 1); k < -1 is rejected.
     """
     if k < -1:
         raise ValueError(f"shifted_factorial needs k >= -1, got {k}")
-    xf = Fraction(x)
-    acc = Fraction(1)
+    num = 1
     for m in range(k + 1):
-        acc *= xf + m
-    return acc
-
-
-def frac_factorial(x: Rational) -> Fraction:
-    """Descending product x(x-1)(x-2)... down to the representative of x mod 1 in (0, 1].
-
-    Values in (-1, 0] give the empty product 1.  Arguments <= -1 are rejected:
-    the descent would never terminate on the negative side.
-    For half-integers, frac_factorial(k + 1/2) = (2k+1)!! / 2^(k+1).
-    """
-    xf = Fraction(x)
-    if xf <= -1:
-        raise ValueError(f"frac_factorial needs x > -1, got {xf}")
-    acc = Fraction(1)
-    while xf > 0:
-        acc *= xf
-        xf -= 1
-    return acc
+        num *= p + m * q
+    return num, q ** (k + 1)
 
 
 def double_factorial(m: int) -> int:

@@ -19,6 +19,7 @@ __all__ = [
     "rank_rNm1",
     "is_admissible",
     "dim_gate",
+    "exact_gamma",
     "resolve_gamma",
 ]
 
@@ -98,17 +99,20 @@ def _check_spec(g: int, x: StackyType, spec: IntegralSpec) -> None:
         )
 
 
-def rank_r1(g: int, x: StackyType) -> Fraction:
-    """Rank of the weight-1 eigenbundle: sum(n_i * i/N) + g - 1."""
+def _check_genus(g: int) -> None:
     if not isinstance(g, int) or g < 0:
         raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
+
+
+def rank_r1(g: int, x: StackyType) -> Fraction:
+    """Rank of the weight-1 eigenbundle: sum(n_i * i/N) + g - 1."""
+    _check_genus(g)
     return Fraction(x.weighted_sum(), x.N) + g - 1
 
 
 def rank_rNm1(g: int, x: StackyType) -> Fraction:
     """Rank of the complementary eigenbundle: sum(n_i * (N-i)/N) + g - 1."""
-    if not isinstance(g, int) or g < 0:
-        raise ValueError(f"genus must be a nonnegative integer, got {g!r}")
+    _check_genus(g)
     weighted = sum((x.N - i) * v for i, v in enumerate(x.n, start=1))
     return Fraction(weighted, x.N) + g - 1
 
@@ -116,21 +120,39 @@ def rank_rNm1(g: int, x: StackyType) -> Fraction:
 def is_admissible(g: int, x: StackyType) -> bool:
     """True iff rank_r1(g, x) is a nonnegative integer, i.e. the monodromies
     can balance and the eigenbundle exists."""
-    r1 = rank_r1(g, x)
-    return r1.denominator == 1 and r1 >= 0
+    _check_genus(g)
+    whole, rest = divmod(x.weighted_sum(), x.N)
+    return rest == 0 and whole + g - 1 >= 0
 
 
 def dim_gate(g: int, x: StackyType, spec: IntegralSpec, s: int) -> bool:
     """Dimension gate of the theory with scale s (1 line, 2 surface) and
     half-shift h = 1 - 1/s: the integral can be nonzero only when
-    sum(l_i - h) + sum(k_j + s i_j/N - h) = (2g - 2 + n + total)/s."""
+    sum(l_i - h) + sum(k_j + s i_j/N - h) = (2g - 2 + n + total)/s,
+    compared on integers, both sides times sN."""
     _check_spec(g, x, spec)
     count = len(spec.l) + x.total
-    lhs = sum(spec.l) + sum(spec.k) + Fraction(s * x.weighted_sum(), x.N) - count * (1 - Fraction(1, s))
-    return lhs == Fraction(2 * g - 2 + count, s)
+    lhs = s * x.N * (sum(spec.l) + sum(spec.k)) + s * s * x.weighted_sum() - count * (s - 1) * x.N
+    return lhs == (2 * g - 2 + count) * x.N
 
 
 _THEORIES = ("line", "surface")
+
+
+def exact_gamma(values: Sequence[Rational]) -> tuple[Fraction, ...]:
+    """values as Fractions.  A float is refused rather than taken at its
+    binary value (0.1 would enter an exact table as
+    3602879701896397/36028797018963968), and so is a bool."""
+    out = []
+    for v in values:
+        if not isinstance(v, Fraction):
+            if isinstance(v, bool):
+                raise ValueError(f"gamma entries must not be booleans, got {v!r}")
+            if isinstance(v, float):
+                raise ValueError(f'gamma entries must be integers, Fractions or "p/q" strings, got {v!r}')
+            v = Fraction(v)
+        out.append(v)
+    return tuple(out)
 
 
 class GammaTable:
@@ -151,7 +173,7 @@ class GammaTable:
         if not is_int(g):
             raise ValueError(f"genus must be an integer, got {g!r}")
         x = StackyType(N, tuple(n))
-        vec = tuple(Fraction(v) for v in gamma)
+        vec = exact_gamma(gamma)
         if len(vec) != x.total:
             raise ValueError(
                 f"gamma vector has length {len(vec)}, type carries {x.total} insertions"
@@ -208,7 +230,7 @@ def resolve_gamma(gamma, theory: str, g: int, x: StackyType) -> tuple[Fraction, 
     """Accept either a GammaTable (looked up by type) or a bare vector."""
     if isinstance(gamma, GammaTable):
         return gamma.get(theory, x.N, g, x)
-    vec = tuple(Fraction(v) for v in gamma)
+    vec = exact_gamma(gamma)
     if len(vec) != x.total:
         raise ValueError(
             f"gamma vector has length {len(vec)}, type carries {x.total} insertions"

@@ -1,4 +1,6 @@
-"""Factorial-family arithmetic and rational serialization."""
+"""Factorial-family arithmetic and rational serialization.  The Fraction
+loops frac_factorial and shifted_factorial live in fraction_reference as the
+second route for the integer kernels."""
 
 from __future__ import annotations
 
@@ -10,13 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fraction_reference import frac_factorial, shifted_factorial
 from hhodge.exact_arith import (
     double_factorial,
-    frac_factorial,
+    frac_factorial_ints,
     multinomial,
     rational_from_str,
     rational_to_str,
-    shifted_factorial,
+    shifted_factorial_ints,
 )
 
 small_rationals = st.fractions(
@@ -81,6 +84,54 @@ class TestFracFactorial:
         assert frac_factorial(k + Fraction(1, 2)) == Fraction(
             double_factorial(2 * k + 1), 2 ** (k + 1)
         )
+
+
+# numerator p and positive denominator q of a kernel argument p/q
+denominators = st.integers(min_value=1, max_value=40)
+
+
+class TestFracFactorialInts:
+    @given(q=denominators, data=st.data())
+    def test_equals_reference(self, q, data):
+        p = data.draw(st.integers(min_value=-q + 1, max_value=400))
+        num, den = frac_factorial_ints(p, q)
+        assert den > 0
+        assert Fraction(num, den) == frac_factorial(Fraction(p, q))
+
+    @given(q=denominators, data=st.data())
+    def test_nonpositive_arguments_above_minus_one_give_empty_product(self, q, data):
+        p = data.draw(st.integers(min_value=-q + 1, max_value=0))
+        assert frac_factorial_ints(p, q) == (1, 1)
+
+    @given(q=denominators, data=st.data())
+    def test_rejects_at_and_below_minus_one(self, q, data):
+        p = data.draw(st.integers(min_value=-50 * q, max_value=-q))
+        with pytest.raises(ValueError):
+            frac_factorial_ints(p, q)
+        with pytest.raises(ValueError):
+            frac_factorial(Fraction(p, q))
+
+    @pytest.mark.parametrize("p", range(30))
+    def test_integers_use_the_integer_factorial(self, p):
+        assert frac_factorial_ints(p, 1) == (math.factorial(p), 1)
+
+
+class TestShiftedFactorialInts:
+    @given(p=st.integers(min_value=-400, max_value=400), q=denominators,
+           k=st.integers(min_value=-1, max_value=12))
+    def test_equals_reference(self, p, q, k):
+        num, den = shifted_factorial_ints(p, q, k)
+        assert den > 0
+        assert Fraction(num, den) == shifted_factorial(Fraction(p, q), k)
+
+    @given(p=st.integers(min_value=-400, max_value=400), q=denominators)
+    def test_empty_product(self, p, q):
+        assert shifted_factorial_ints(p, q, -1) == (1, 1)
+
+    @given(p=st.integers(), q=denominators, k=st.integers(max_value=-2))
+    def test_rejects_k_below_minus_one(self, p, q, k):
+        with pytest.raises(ValueError):
+            shifted_factorial_ints(p, q, k)
 
 
 class TestDoubleFactorial:

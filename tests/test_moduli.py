@@ -225,6 +225,15 @@ class TestGammaTable:
         with pytest.raises(MissingGammaError):
             table.get("line", 2, 1, (2,))
 
+    @pytest.mark.parametrize("bad", [(0.1, 1), (1, 1.0), (True, 1), (1, False)])
+    def test_add_refuses_floats_and_booleans(self, bad):
+        # the Python API refuses what the JSON route refuses
+        table = GammaTable()
+        with pytest.raises(ValueError, match="gamma entries"):
+            table.add("line", 2, 1, (2,), bad)
+        with pytest.raises(MissingGammaError):
+            table.get("line", 2, 1, (2,))
+
     @pytest.mark.parametrize(
         "N, g, n",
         [(2, 1.5, (2,)), (2, 1, (2.7,)), (2, 1.5, (2.7,)), (2, True, (2,)), (2, 1, (True, 1)), (2.0, 1, (2,))],
@@ -289,3 +298,10 @@ class TestResolveGamma:
         table.add("surface", 2, 2, (2,), (fr(5), fr(7)))
         x = StackyType(2, (2,))
         assert resolve_gamma(table, "surface", 2, x) == (fr(5), fr(7))
+
+    @pytest.mark.parametrize("bad", [(0.1, fr(1)), (fr(1), 1.0), (True, fr(1)), (fr(1), False)])
+    def test_refuses_floats_and_booleans(self, bad):
+        # 0.1 would enter as 3602879701896397/36028797018963968, and True as 1
+        with pytest.raises(ValueError, match="gamma entries"):
+            resolve_gamma(bad, "line", 1, StackyType(2, (2,)))
+        assert resolve_gamma((1, "1/10"), "line", 1, StackyType(2, (2,))) == (fr(1), fr(1, 10))
